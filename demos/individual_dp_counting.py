@@ -1,7 +1,8 @@
 """Individual-DP top-k selection via noisy win counts.
 
 Here the protected unit is a whole user: all L of their comparisons can be
-replaced at once, so the count mechanism adds Laplace(L/epsilon) noise. The
+replaced at once, which moves the win counts by up to 2L in l1, so the count
+mechanism adds Laplace(2L/epsilon) noise. The
 demo sweeps the number of users m and shows the sample size needed for exact
 top-k recovery at each privacy level, mirroring the separation-threshold
 story: recovery is easy once the tau gap clears the threshold.

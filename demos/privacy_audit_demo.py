@@ -37,7 +37,8 @@ def main():
     ind_pairs = user_replacement_pairs(ind_data, 200, seed=rng)
     report = sensitivity_check(ind_pairs)
     print(f"user replacement: {report.pairs_checked} pairs, "
-          f"max per-item change = {report.per_coordinate_max} (bound L={L})")
+          f"max per-item change = {report.per_coordinate_max} (bound L={L}), "
+          f"max l1 change = {report.max_l1} (bound 2L={2 * L})")
 
     print("\nempirical epsilon of noisy top-2 counts (1e6 replays per pair):")
     for eps in (0.5, 1.0, 2.5):

@@ -11,8 +11,8 @@ from .counts import noisy_full_ranking, noisy_topk, win_counts
 from .data import (ComparisonGraph, EdgeDataset, IndividualDataset, ProbMatrix,
                    generate_theta, rho_from_theta, sample_edge_outcomes,
                    sample_er_graph, sample_individual, two_block_rho)
-from .likelihood import AggregatedCounts, ObjectiveSpec, aggregate, grad, hessian, nll, objective
-from .links import LinkFunction, get_link, logistic_link, validate_conditions
+from .likelihood import ObjectiveSpec, aggregate, grad, hessian, nll, objective
+from .links import LinkFunction, get_link, logistic_link
 from .metrics import (hamming_sets, l2_rel_log_error, linf_rel_log_error,
                       mean_abs_rank_diff, separation_threshold, tau,
                       topk_overlap_loss, true_topk)

@@ -1,12 +1,14 @@
 """Empirical checks of the DP ingredients: sensitivity and epsilon estimation.
 
 The win-count vector has l1-sensitivity at most 2 over edge-adjacent
-datasets and per-coordinate sensitivity at most L under user replacement;
-both are verified here by direct enumeration. For the discrete noisy-count
-top-k mechanism, an empirical epsilon lower bound is estimated from output
-frequencies on an adjacent pair. The perturbed MLE has a continuous output
-space and is excluded from frequency-based estimation; its audit is limited
-to the calibration invariants.
+datasets. Under user replacement, adjacent datasets differ in one user's
+whole bundle of L comparisons, so each count moves by at most L and the
+vector by at most 2L in l1. Both bounds are verified here on explicit
+adjacent pairs. For the discrete noisy-count top-k mechanism, an empirical
+epsilon lower bound is estimated from output frequencies on an adjacent pair.
+The perturbed MLE has a continuous output space and is excluded from
+frequency-based estimation; its audit is limited to the calibration
+invariants.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .counts import noise_scale, win_counts
 from .data import ComparisonGraph, EdgeDataset, IndividualDataset, pair_arrays, rng_from
+from .metrics import descending_order
 
 MIN_EPSILON_SAMPLES = 100_000
 DEFAULT_COUNT_FLOOR = 30
@@ -51,15 +54,6 @@ class EpsilonEstimate:
     samples: int
     conclusive: bool
     nonprivate_flag: bool = False
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    max_l1_sensitivity: float
-    per_coordinate_max: float
-    epsilon_hat: float
-    epsilon_declared: float
-    samples: int
 
 
 def _with_outcome(data: EdgeDataset, edge: int, y: int) -> EdgeDataset:
@@ -146,7 +140,7 @@ def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:
     """Max l1 and per-coordinate change of win counts over adjacent pairs.
 
     Raises SensitivityViolation when an edge pair exceeds l1 = 2 or a
-    user-replacement pair exceeds per-coordinate L.
+    user-replacement pair exceeds per-coordinate L or l1 = 2L.
     """
     max_l1 = 0.0
     max_coord = 0.0
@@ -163,6 +157,8 @@ def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:
             if coord > L:
                 raise SensitivityViolation(
                     f"per-coordinate sensitivity {coord} > L={L}", pair)
+            if l1 > 2 * L:
+                raise SensitivityViolation(f"l1 sensitivity {l1} > 2L={2 * L}", pair)
     return SensitivityReport(max_l1=max_l1, per_coordinate_max=max_coord,
                              pairs_checked=len(pairs))
 
@@ -187,8 +183,7 @@ class CountTopKMechanism:
             noisy = np.broadcast_to(counts, (samples, n))
         else:
             noisy = counts + rng.laplace(scale=scale, size=(samples, n))
-        # top-k per row; ties at scale 0 broken by lowest index
-        order = np.argsort(-noisy, axis=1, kind="stable")[:, :self.k]
+        order = descending_order(noisy)[:, :self.k]
         masks = np.zeros(samples, dtype=np.int64)
         for col in range(self.k):
             masks |= np.int64(1) << order[:, col].astype(np.int64)
@@ -229,16 +224,3 @@ def estimate_epsilon(mechanism: CountTopKMechanism, pair: AdjacentPair,
     return EpsilonEstimate(epsilon_hat=float(ratios.max()),
                            epsilon_declared=mechanism.epsilon,
                            samples=samples, conclusive=True)
-
-
-def audit_noisy_counts(pair: AdjacentPair, k: int, epsilon: float, regime: str,
-                       L: int = 1, samples: int = 1_000_000, seed=None) -> AuditReport:
-    """Sensitivity check plus epsilon estimate for one adjacent pair."""
-    sens = sensitivity_check([pair])
-    est = estimate_epsilon(CountTopKMechanism(k=k, epsilon=epsilon, regime=regime, L=L),
-                           pair, samples, seed=seed)
-    return AuditReport(max_l1_sensitivity=sens.max_l1,
-                       per_coordinate_max=sens.per_coordinate_max,
-                       epsilon_hat=est.epsilon_hat,
-                       epsilon_declared=est.epsilon_declared,
-                       samples=samples)

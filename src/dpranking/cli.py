@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -16,6 +15,7 @@ from .data import sample_er_graph, sample_edge_outcomes, rho_from_theta, generat
 from .harness import (ExperimentConfig, eps_token, ingest, parse_eps, real_data_eval,
                       run_experiment, write_records_csv)
 from .links import get_link
+from .metrics import descending_order
 from .mle import calibrate_edge, calibrate_individual, estimate_full, rank_from_scores
 
 SEED_ENV = "DPRANKING_MASTER_SEED"
@@ -41,16 +41,9 @@ def _cmd_simulate(args):
     return 0
 
 
-def _load_data(args):
-    mode = args.mode
-    data = ingest(args.data, mode=mode,
-                  L_policy=getattr(args, "l_policy", "strict"))
-    return data
-
-
 def _cmd_estimate(args):
-    link = get_link(args.link)
-    data = _load_data(args)
+    link = get_link("logistic")
+    data = ingest(args.data, mode=args.mode, L_policy=args.l_policy)
     eps = parse_eps(args.epsilon)
     if args.mode == "edge":
         calib = calibrate_edge(eps, data.n, data.graph.p, link)
@@ -59,13 +52,11 @@ def _cmd_estimate(args):
     seed = _default_seed(args.seed)
     theta, info = estimate_full(data, calib, link, seed=seed)
     k = args.k or max(1, data.n // 4)
-    names = data.item_names() if hasattr(data, "item_names") else tuple(
-        f"item_{t + 1}" for t in range(data.n))
-    order = np.lexsort((np.arange(data.n), -theta))
+    names = data.item_names()
     out = {
         "epsilon": eps_token(eps),
         "theta": {names[i]: float(theta[i]) for i in range(data.n)},
-        "ranking": [names[i] for i in order],
+        "ranking": [names[i] for i in descending_order(theta)],
         "top_k": sorted(names[i] for i in rank_from_scores(theta, k)),
         "diagnostics": {
             "iterations": info.iterations,
@@ -86,14 +77,13 @@ def _cmd_estimate(args):
 
 
 def _cmd_rank(args):
-    data = _load_data(args)
+    data = ingest(args.data, mode=args.mode, L_policy=args.l_policy)
     eps = parse_eps(args.epsilon)
     wins = counts_mod.win_counts(data)
     L = data.L if args.mode == "individual" else 1
     seed = _default_seed(args.seed)
     top = counts_mod.noisy_topk(wins, args.k, eps, args.mode, L=L, seed=seed)
-    names = data.item_names() if hasattr(data, "item_names") else tuple(
-        f"item_{t + 1}" for t in range(data.n))
+    names = data.item_names()
     print(json.dumps({"epsilon": eps_token(eps), "k": args.k,
                       "top_k": sorted(names[i] for i in top)}, indent=2))
     return 0
@@ -116,15 +106,16 @@ def _cmd_audit(args):
         L = 5
         base = sample_individual(n, 50, L, rho, seed=rng)
         pair = audit_mod.user_replacement_pairs(base, 1, seed=rng)[0]
-    report = audit_mod.audit_noisy_counts(pair, k=k, epsilon=eps, regime=args.mode,
-                                          L=L, samples=args.samples, seed=rng)
+    sens = audit_mod.sensitivity_check([pair])
+    mechanism = audit_mod.CountTopKMechanism(k=k, epsilon=eps, regime=args.mode, L=L)
+    est = audit_mod.estimate_epsilon(mechanism, pair, args.samples, seed=rng)
     print(json.dumps({
         "mode": args.mode,
-        "epsilon_declared": eps_token(report.epsilon_declared),
-        "epsilon_hat": report.epsilon_hat,
-        "max_l1_sensitivity": report.max_l1_sensitivity,
-        "per_coordinate_max": report.per_coordinate_max,
-        "samples": report.samples,
+        "epsilon_declared": eps_token(est.epsilon_declared),
+        "epsilon_hat": est.epsilon_hat,
+        "max_l1_sensitivity": sens.max_l1,
+        "per_coordinate_max": sens.per_coordinate_max,
+        "samples": est.samples,
     }, indent=2))
     return 0
 
@@ -156,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True, help="positive value or 'inf'")
     p.add_argument("--seed", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--link", default="logistic")
     p.add_argument("--l-policy", choices=["strict", "pad-skip"], default="strict")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)

@@ -1,9 +1,12 @@
 """Nonparametric ranking by Laplace-noised win counts (Copeland counting).
 
-Edge DP adds Laplace(2/eps) noise to the per-item win counts; individual DP
-adds Laplace(L/eps), since one user's bundle of L comparisons moves each
-count by at most L. Top-k selection and full ranking post-process one shared
-noise draw, so nested top-k sets are consistent at no extra privacy cost.
+Edge DP adds Laplace(2/eps) noise to the per-item win counts, since changing
+one comparison moves the count vector by at most 2 in l1. Individual DP adds
+Laplace(2L/eps): adjacent datasets differ by replacing one user's whole
+bundle of L comparisons, which takes up to L wins from some items and gives
+up to L to others, an l1 change of at most 2L. Top-k selection and full
+ranking post-process one shared noise draw, so nested top-k sets are
+consistent at no extra privacy cost.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 import numpy as np
 
 from .data import EdgeDataset, IndividualDataset, rng_from
+from .metrics import descending_order
 
 __all__ = ["win_counts", "noise_scale", "noisy_counts", "noisy_topk", "noisy_full_ranking"]
 
@@ -30,7 +34,7 @@ def win_counts(data: EdgeDataset | IndividualDataset) -> np.ndarray:
 
 
 def noise_scale(epsilon: float, regime: str, L: int = 1) -> float:
-    """Laplace scale: 2/eps for edge DP, L/eps for individual DP; 0 at eps=inf."""
+    """Laplace scale: 2/eps for edge DP, 2L/eps for individual DP; 0 at eps=inf."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if math.isinf(epsilon):
@@ -40,7 +44,7 @@ def noise_scale(epsilon: float, regime: str, L: int = 1) -> float:
     if regime == "individual":
         if L < 1:
             raise ValueError("L must be >= 1")
-        return L / epsilon
+        return 2.0 * L / epsilon
     raise ValueError("regime must be 'edge' or 'individual'")
 
 
@@ -55,11 +59,6 @@ def noisy_counts(counts: np.ndarray, epsilon: float, regime: str,
     return counts + rng.laplace(scale=scale, size=len(counts))
 
 
-def _rank_desc(values: np.ndarray) -> np.ndarray:
-    # descending by value, ties by lowest index
-    return np.lexsort((np.arange(len(values)), -values))
-
-
 def noisy_topk(counts: np.ndarray, k: int, epsilon: float, regime: str,
                L: int = 1, seed=None) -> np.ndarray:
     """Indices (0-based, sorted) of the k largest noisy counts."""
@@ -67,11 +66,11 @@ def noisy_topk(counts: np.ndarray, k: int, epsilon: float, regime: str,
     if not 1 <= k <= n:
         raise ValueError("k must lie in [1, n]")
     noisy = noisy_counts(counts, epsilon, regime, L, seed)
-    return np.sort(_rank_desc(noisy)[:k])
+    return np.sort(descending_order(noisy)[:k])
 
 
 def noisy_full_ranking(counts: np.ndarray, epsilon: float, regime: str,
                        L: int = 1, seed=None) -> np.ndarray:
     """All items sorted by noisy count descending, one shared noise draw."""
     noisy = noisy_counts(counts, epsilon, regime, L, seed)
-    return _rank_desc(noisy)
+    return descending_order(noisy)

@@ -7,14 +7,11 @@ upper triangle; the skew-symmetry rho[i,j] + rho[j,i] = 1 is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .links import LinkFunction
-
-SeedLike = "int | np.random.SeedSequence | np.random.Generator | None"
-
 
 def rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -85,12 +82,23 @@ class ComparisonGraph:
         return len(self.i)
 
 
+class _NamedItems:
+    """Item names from the optional ``items`` field, held in index order."""
+
+    def item_names(self) -> tuple[str, ...]:
+        """The ingested names, or ``item_1..item_n`` when there are none."""
+        if self.items is not None:
+            return self.items
+        return tuple(f"item_{t + 1}" for t in range(self.n))
+
+
 @dataclass(frozen=True)
-class EdgeDataset:
+class EdgeDataset(_NamedItems):
     """One Bernoulli outcome per edge; y[e] = 1 iff the lower-index item won."""
 
     graph: ComparisonGraph
     y: np.ndarray
+    items: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.y.shape != self.graph.i.shape:
@@ -102,11 +110,10 @@ class EdgeDataset:
 
 
 @dataclass(frozen=True)
-class IndividualDataset:
+class IndividualDataset(_NamedItems):
     """m users with L comparisons each, stored flat; user k owns rows [kL, (k+1)L).
 
-    Pairs are stored with i < j and y = 1 iff i won. ``items`` carries optional
-    display names (index order) for ingested data.
+    Pairs are stored with i < j and y = 1 iff i won.
     """
 
     n: int
@@ -115,7 +122,7 @@ class IndividualDataset:
     i: np.ndarray
     j: np.ndarray
     y: np.ndarray
-    items: tuple[str, ...] | None = field(default=None)
+    items: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not (len(self.i) == len(self.j) == len(self.y) == self.m * self.L):
@@ -126,11 +133,6 @@ class IndividualDataset:
 
     def user_slice(self, k: int) -> slice:
         return slice(k * self.L, (k + 1) * self.L)
-
-    def item_names(self) -> tuple[str, ...]:
-        if self.items is not None:
-            return self.items
-        return tuple(f"item_{t + 1}" for t in range(self.n))
 
 
 def sample_er_graph(n: int, p: float, seed=None) -> ComparisonGraph:

@@ -13,8 +13,9 @@ import hashlib
 import json
 import math
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,9 +24,8 @@ from . import metrics as metrics_mod
 from .data import (ComparisonGraph, EdgeDataset, IndividualDataset, generate_theta,
                    pair_count, rho_from_theta, sample_edge_outcomes,
                    sample_er_graph, sample_individual)
-from .links import LinkFunction, get_link
+from .links import get_link
 from .mle import calibrate_edge, calibrate_individual, estimate, rank_from_scores
-from .solver import SolverConfig
 
 EPS_LEVELS = (0.5, 1.0, 2.5, math.inf)
 ALGORITHMS = ("parametric", "nonparametric")
@@ -51,7 +51,6 @@ class ExperimentConfig:
     trials: int = 50
     master_seed: int = 0
     algorithms: tuple[str, ...] = ALGORITHMS
-    link_name: str = "logistic"
     output_path: str | None = None
 
     def __post_init__(self):
@@ -88,7 +87,6 @@ class ExperimentConfig:
             trials=raw.get("trials", 50),
             master_seed=raw.get("master_seed", 0),
             algorithms=tuple(raw.get("algorithms", ALGORITHMS)),
-            link_name=raw.get("link", "logistic"),
             output_path=raw.get("output_path"),
         )
 
@@ -146,7 +144,7 @@ def substream(master_seed: int, experiment: str, n: int, p, m, L: int,
 
 def _trial_records(cfg: ExperimentConfig, n: int, p, m, eps: float,
                    trial: int) -> list[TrialRecord]:
-    link = get_link(cfg.link_name)
+    link = get_link("logistic")
     L = cfg.L if cfg.regime == "individual" else None
     ss, seed_id = substream(cfg.master_seed, cfg.preset, n, p, m, cfg.L, eps, trial)
     rng = np.random.default_rng(ss)
@@ -210,35 +208,17 @@ def _cells(cfg: ExperimentConfig):
     return [(n, None, m) for n in cfg.n_values for m in cfg.m_values]
 
 
-def _trial_job(args):
-    cfg_json, n, p, m, eps, trial = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    return _trial_records(cfg, n, p, m, eps, trial)
-
-
-def config_to_json(cfg: ExperimentConfig) -> str:
-    return json.dumps({
-        "preset": cfg.preset, "regime": cfg.regime,
-        "n_values": list(cfg.n_values),
-        "epsilon_values": [eps_token(e) for e in cfg.epsilon_values],
-        "p_values": list(cfg.p_values), "m_values": list(cfg.m_values),
-        "L": cfg.L, "trials": cfg.trials, "master_seed": cfg.master_seed,
-        "algorithms": list(cfg.algorithms), "link": cfg.link_name,
-        "output_path": cfg.output_path,
-    })
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[TrialRecord]:
     """Run all grid cells and trials; write CSV if output_path is set."""
-    jobs = [(config_to_json(cfg), n, p, m, eps, t)
+    jobs = [(cfg, n, p, m, eps, t)
             for (n, p, m) in _cells(cfg)
             for eps in cfg.epsilon_values
             for t in range(cfg.trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_trial_job, jobs, chunksize=4))
+            chunks = list(pool.map(_trial_records, *zip(*jobs), chunksize=4))
     else:
-        chunks = [_trial_job(job) for job in jobs]
+        chunks = [_trial_records(*job) for job in jobs]
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=TrialRecord.sort_key)
     if cfg.output_path:
@@ -344,23 +324,16 @@ def ingest(path: str, mode: str, L_policy: str = "strict"
         order = np.lexsort((j, i))
         graph = ComparisonGraph(n=n, i=i[order], j=j[order],
                                 p=len(recs) / pair_count(n))
-        return EdgeDataset(graph=graph, y=y[order])
+        return EdgeDataset(graph=graph, y=y[order], items=items)
 
     lengths = {u: len(rows) for u, rows in users.items()}
-    distinct = sorted(set(lengths.values()))
-    if L_policy == "strict" and len(distinct) > 1:
-        counts = {}
-        for c in lengths.values():
-            counts[c] = counts.get(c, 0) + 1
-        modal = max(counts, key=lambda c: (counts[c], -c))
-        bad = [u for u, c in lengths.items() if c != modal][0]
-        raise ParseError(f"user {bad!r} has {lengths[bad]} records, expected {modal}")
-    counts = {}
-    for c in lengths.values():
-        counts[c] = counts.get(c, 0) + 1
-    L = max(counts, key=lambda c: (counts[c], -c))
+    tally = Counter(lengths.values())
+    L = max(tally, key=lambda c: (tally[c], -c))
     kept = [u for u in users if lengths[u] == L]
     dropped = [u for u in users if lengths[u] != L]
+    if dropped and L_policy == "strict":
+        raise ParseError(f"user {dropped[0]!r} has {lengths[dropped[0]]} records, "
+                         f"expected {L}")
     if dropped:
         warnings.warn(f"dropped {len(dropped)} user(s) with record count != {L}: "
                       f"{dropped}", stacklevel=2)
@@ -386,27 +359,22 @@ def write_individual_csv(data: IndividualDataset, path: str) -> None:
 # real-data evaluation
 
 
-def _score_ranking(theta: np.ndarray) -> np.ndarray:
-    return np.lexsort((np.arange(len(theta)), -np.asarray(theta, dtype=float)))
-
-
 def max_mean_rank_diff(n: int) -> float:
     """Largest possible mean absolute rank displacement, attained by reversal."""
     return 2.0 * (n * n // 4) / n
 
 
 def real_data_eval(data: IndividualDataset, epsilons, trials: int, seed: int = 0,
-                   link: LinkFunction | None = None,
                    experiment: str = "real_data") -> list[TrialRecord]:
     """Mean rank difference of the private rankings against non-private references.
 
     The references are the ridge MLE ordering (epsilon = inf calibration) and
     the exact Copeland ordering.
     """
-    link = link or get_link("logistic")
+    link = get_link("logistic")
     calib_ref = calibrate_individual(math.inf, data.n, data.m, data.L, link)
     theta_ref = estimate(data, calib_ref, link, seed=0)
-    ranking_mle = _score_ranking(theta_ref)
+    ranking_mle = metrics_mod.descending_order(theta_ref)
     wins = counts_mod.win_counts(data)
     ranking_copeland = counts_mod.noisy_full_ranking(wins, math.inf, "individual",
                                                      L=data.L)
@@ -421,8 +389,8 @@ def real_data_eval(data: IndividualDataset, epsilons, trials: int, seed: int = 0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 theta_hat = estimate(data, calib, link, seed=rng)
-            diff_par = metrics_mod.mean_abs_rank_diff(_score_ranking(theta_hat),
-                                                      ranking_mle)
+            diff_par = metrics_mod.mean_abs_rank_diff(
+                metrics_mod.descending_order(theta_hat), ranking_mle)
             ranking_np = counts_mod.noisy_full_ranking(wins, eps, "individual",
                                                        L=data.L, seed=rng)
             diff_np = metrics_mod.mean_abs_rank_diff(ranking_np, ranking_copeland)

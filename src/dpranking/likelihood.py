@@ -13,49 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EdgeDataset, IndividualDataset, pair_count
+from .data import EdgeDataset, IndividualDataset
 from .links import LinkFunction
 
 HESSIAN_DENSE_LIMIT = 2000
 
 
-@dataclass(frozen=True)
-class AggregatedCounts:
-    """Per-pair comparison counts M and win fractions ybar, pairs with M > 0 only."""
+def aggregate(data: IndividualDataset
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse raw records to per-pair arrays (i, j, M, ybar).
 
-    n: int
-    i: np.ndarray
-    j: np.ndarray
-    M: np.ndarray
-    ybar: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.i) == len(self.j) == len(self.M) == len(self.ybar)):
-            raise ValueError("pair arrays must have equal length")
-        if np.any(self.M <= 0):
-            raise ValueError("pairs with zero count must be dropped")
-        wins = self.M * self.ybar
-        if not np.allclose(wins, np.round(wins), atol=1e-9):
-            raise ValueError("M * ybar must be an integer win count")
-
-    @property
-    def total(self) -> float:
-        return float(self.M.sum())
-
-
-def aggregate(data: IndividualDataset) -> AggregatedCounts:
-    """Collapse raw records to per-pair counts and win fractions."""
+    Only observed pairs appear, so every comparison count M is positive;
+    ybar is the fraction of those comparisons that item i won.
+    """
     key = data.i.astype(np.int64) * data.n + data.j
     uniq, inv = np.unique(key, return_inverse=True)
     M = np.bincount(inv, minlength=len(uniq)).astype(float)
     wins = np.bincount(inv, weights=data.y.astype(float), minlength=len(uniq))
-    return AggregatedCounts(
-        n=data.n,
-        i=(uniq // data.n).astype(np.int64),
-        j=(uniq % data.n).astype(np.int64),
-        M=M,
-        ybar=wins / M,
-    )
+    i, j = np.divmod(uniq, data.n)
+    return i, j, M, wins / M
 
 
 @dataclass(frozen=True)
@@ -85,15 +61,10 @@ class ObjectiveSpec:
                    link=link, gamma=gamma, w=w)
 
     @classmethod
-    def from_counts(cls, counts: AggregatedCounts, link: LinkFunction,
-                    gamma: float = 0.0, w: np.ndarray | None = None) -> "ObjectiveSpec":
-        return cls(n=counts.n, i=counts.i, j=counts.j, M=counts.M,
-                   ybar=counts.ybar, link=link, gamma=gamma, w=w)
-
-    @classmethod
     def from_individual(cls, data: IndividualDataset, link: LinkFunction,
                         gamma: float = 0.0, w: np.ndarray | None = None) -> "ObjectiveSpec":
-        return cls.from_counts(aggregate(data), link, gamma=gamma, w=w)
+        i, j, M, ybar = aggregate(data)
+        return cls(n=data.n, i=i, j=j, M=M, ybar=ybar, link=link, gamma=gamma, w=w)
 
 
 def nll(theta: np.ndarray, spec: ObjectiveSpec) -> float:

@@ -9,7 +9,7 @@ ridge scales of the private estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,7 @@ from scipy.special import expit, log_expit
 class LinkFunction:
     """A symmetric, strictly increasing CDF-like function with derivatives.
 
-    ``neg_log_second`` is d^2/dx^2 of -log F(x). ``log_eval`` must be a
+    ``neg_log_second`` is d^2/dx^2 of -log F(x). ``log_eval`` is a
     numerically stable log F, usable at |x| up to a few hundred.
     """
 
@@ -30,11 +30,9 @@ class LinkFunction:
     neg_log_second: Callable[[np.ndarray], np.ndarray]
     kappa1: float
     kappa2: float
-    log_eval: Callable[[np.ndarray], np.ndarray] = field(default=None)  # type: ignore[assignment]
+    log_eval: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.log_eval is None:
-            object.__setattr__(self, "log_eval", lambda x: np.log(self.eval(x)))
         if self.kappa1 <= 0 or self.kappa2 <= 0:
             raise ValueError("kappa constants must be positive")
 
@@ -64,101 +62,8 @@ def logistic_link() -> LinkFunction:
     )
 
 
-_LINKS = {"logistic": logistic_link}
-
-
 def get_link(name: str) -> LinkFunction:
-    """Look up a shipped link by name."""
-    try:
-        return _LINKS[name]()
-    except KeyError:
-        raise ValueError(f"unknown link {name!r}; available: {sorted(_LINKS)}") from None
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    passed: bool
-    worst_x: float
-    margin: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[ConditionCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> list[ConditionCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
-def validate_conditions(
-    link: LinkFunction, grid_halfwidth: float = 10.0, grid_points: int = 10001
-) -> ValidationReport:
-    """Check the regularity conditions on a symmetric grid.
-
-    Four checks: strict monotonicity of F, symmetry F(x) = 1 - F(-x), the
-    score-ratio bound against kappa1, and the two-sided bound on the second
-    derivative of -log F against kappa2. Violations are reported with the
-    worst grid point, never raised.
-    """
-    if grid_points < 100:
-        raise ValueError("grid_points must be >= 100")
-    if grid_halfwidth < 4:
-        raise ValueError("grid_halfwidth must be >= 4")
-
-    x = np.linspace(-grid_halfwidth, grid_halfwidth, grid_points)
-    f = np.asarray(link.eval(x), dtype=float)
-    fp = np.asarray(link.deriv(x), dtype=float)
-    nls = np.asarray(link.neg_log_second(x), dtype=float)
-    checks = []
-
-    diffs = np.diff(f)
-    i = int(np.argmin(diffs))
-    checks.append(
-        ConditionCheck("monotone", bool(np.all(diffs > 0)), float(x[i]), float(diffs[i]))
-    )
-
-    sym_gap = np.abs(f - (1.0 - np.asarray(link.eval(-x), dtype=float)))
-    i = int(np.argmax(sym_gap))
-    checks.append(
-        ConditionCheck("symmetry", bool(np.all(sym_gap <= 1e-12)), float(x[i]),
-                       float(1e-12 - sym_gap[i]))
-    )
-
-    # denominator via F(x)F(-x): equals F(1-F) under (A0) and avoids
-    # cancellation in 1-F at the grid edges
-    ratio = fp / (f * np.asarray(link.eval(-x), dtype=float))
-    i = int(np.argmax(ratio))
-    checks.append(
-        ConditionCheck("ratio_le_kappa1",
-                       bool(np.all(ratio <= link.kappa1 * (1.0 + 1e-9))),
-                       float(x[i]), float(link.kappa1 - ratio[i]))
-    )
-
-    inner = np.abs(x) <= 4.0
-    upper_ok = np.all((nls > 0) & (nls < link.kappa2))
-    lower_ok = np.all(nls[inner] > 1.0 / link.kappa2)
-    if not upper_ok:
-        bad = np.where(~((nls > 0) & (nls < link.kappa2)))[0]
-        i = int(bad[np.argmax(nls[bad])])
-        margin = float(link.kappa2 - nls[i])
-    elif not lower_ok:
-        j = int(np.argmin(nls[inner]))
-        i = int(np.where(inner)[0][j])
-        margin = float(nls[i] - 1.0 / link.kappa2)
-    else:
-        hi = int(np.argmax(nls))
-        lo_j = int(np.argmin(nls[inner]))
-        lo = int(np.where(inner)[0][lo_j])
-        m_hi = float(link.kappa2 - nls[hi])
-        m_lo = float(nls[lo] - 1.0 / link.kappa2)
-        i, margin = (hi, m_hi) if m_hi < m_lo else (lo, m_lo)
-    checks.append(
-        ConditionCheck("curvature_bounds", bool(upper_ok and lower_ok), float(x[i]), margin)
-    )
-
-    return ValidationReport(tuple(checks))
+    """Look up a shipped link by name; the logistic is the only one."""
+    if name != "logistic":
+        raise ValueError(f"unknown link {name!r}; available: ['logistic']")
+    return logistic_link()

@@ -22,6 +22,11 @@ def tau(rho: ProbMatrix) -> np.ndarray:
     return rho.full().mean(axis=1)
 
 
+def descending_order(scores) -> np.ndarray:
+    """Item indices by descending score, row by row; ties go to the lowest index."""
+    return np.argsort(-np.asarray(scores, dtype=float), kind="stable")
+
+
 class IllPosedTopK(ValueError):
     """The k-th and (k+1)-th tau values tie, so the top-k set is not unique."""
 
@@ -32,7 +37,7 @@ def true_topk(tau_scores: np.ndarray, k: int) -> np.ndarray:
     n = len(tau_scores)
     if not 1 <= k <= n:
         raise ValueError("k must lie in [1, n]")
-    order = np.argsort(-tau_scores, kind="stable")
+    order = descending_order(tau_scores)
     if k < n and tau_scores[order[k - 1]] == tau_scores[order[k]]:
         raise IllPosedTopK(f"tau ties at the k={k} boundary")
     return np.sort(order[:k])

@@ -17,7 +17,8 @@ import numpy as np
 from .data import EdgeDataset, IndividualDataset, rng_from
 from .likelihood import ObjectiveSpec, grad, objective
 from .links import LinkFunction
-from .solver import ConvergenceError, SolveInfo, SolverConfig, minimize
+from .metrics import descending_order
+from .solver import SolveInfo, SolverConfig, minimize
 
 __all__ = [
     "DEFAULT_C0", "PrivacyCalibration", "calibrate_edge",
@@ -148,9 +149,6 @@ def estimate(data, calib: PrivacyCalibration, link: LinkFunction,
 
 def rank_from_scores(theta: np.ndarray, k: int) -> np.ndarray:
     """Indices (0-based) of the k largest scores; ties broken by lowest index."""
-    theta = np.asarray(theta, dtype=float)
-    n = len(theta)
-    if not 1 <= k <= n:
+    if not 1 <= k <= len(theta):
         raise ValueError("k must lie in [1, n]")
-    order = np.lexsort((np.arange(n), -theta))
-    return np.sort(order[:k])
+    return np.sort(descending_order(theta)[:k])

@@ -11,16 +11,12 @@ import numpy as np
 class SolverConfig:
     tol: float
     max_iters: int = 200_000
-    step_rule: str = "backtracking"
-    initial_step: float = 1.0
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ValueError("step_rule must be 'fixed' or 'backtracking'")
 
 
 @dataclass(frozen=True)
@@ -51,33 +47,29 @@ def minimize(fun, grad, x0: np.ndarray, config: SolverConfig) -> tuple[np.ndarra
     x = np.array(x0, dtype=float)
     g = grad(x)
     f = fun(x)
-    step = config.initial_step
+    step = 1.0
     for it in range(config.max_iters):
         gnorm = float(np.max(np.abs(g))) if len(g) else 0.0
         if gnorm <= config.tol:
             return x, SolveInfo(iterations=it, grad_sup_norm=gnorm, converged=True)
         gsq = float(g @ g)
-        if config.step_rule == "fixed":
+        # near the optimum the Armijo decrease falls below the float
+        # resolution of f; in that regime reuse the last trusted step
+        # untested instead of letting the line search collapse
+        noise = 1e-12 * (abs(f) + 1.0)
+        trial = min(step * 2.0, 1e8)
+        accepted = False
+        while 0.5 * trial * gsq > noise:
+            x_new = x - trial * g
+            f_new = fun(x_new)
+            if f_new <= f - 0.5 * trial * gsq:
+                x, f, step = x_new, f_new, trial
+                accepted = True
+                break
+            trial *= 0.5
+        if not accepted:
             x = x - step * g
             f = fun(x)
-        else:
-            # near the optimum the Armijo decrease falls below the float
-            # resolution of f; in that regime reuse the last trusted step
-            # untested instead of letting the line search collapse
-            noise = 1e-12 * (abs(f) + 1.0)
-            trial = min(step * 2.0, 1e8)
-            accepted = False
-            while 0.5 * trial * gsq > noise:
-                x_new = x - trial * g
-                f_new = fun(x_new)
-                if f_new <= f - 0.5 * trial * gsq:
-                    x, f, step = x_new, f_new, trial
-                    accepted = True
-                    break
-                trial *= 0.5
-            if not accepted:
-                x = x - step * g
-                f = fun(x)
         g = grad(x)
     gnorm = float(np.max(np.abs(g))) if len(g) else 0.0
     info = SolveInfo(iterations=config.max_iters, grad_sup_norm=gnorm,

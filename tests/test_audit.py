@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dpranking.audit import (AdjacentPair, CountTopKMechanism,
-                             SensitivityViolation, audit_noisy_counts,
-                             enumerate_adjacent, estimate_epsilon,
-                             replace_user, sensitivity_check,
+from dpranking.audit import (DEFAULT_SLACK, AdjacentPair, CountTopKMechanism,
+                             SensitivityViolation, enumerate_adjacent,
+                             estimate_epsilon, replace_user, sensitivity_check,
                              user_replacement_pairs)
-from dpranking.data import (ComparisonGraph, EdgeDataset, ProbMatrix,
-                            sample_edge_outcomes, sample_er_graph,
+from dpranking.data import (ComparisonGraph, EdgeDataset, IndividualDataset,
+                            ProbMatrix, sample_edge_outcomes, sample_er_graph,
                             sample_individual)
 
 
@@ -73,6 +72,16 @@ class TestSensitivity:
         report = sensitivity_check([pair])
         assert report.per_coordinate_max == 5.0
 
+    def test_user_replacement_l1_gate(self):
+        # two users replaced at L=1: no count moves by more than L, but the
+        # vector moves by 4 > 2L in l1
+        def data(y):
+            return IndividualDataset(n=4, m=2, L=1, i=np.array([0, 2]),
+                                     j=np.array([1, 3]), y=np.array(y, dtype=np.int8))
+        forged = AdjacentPair(data([1, 1]), data([0, 0]), "user-replacement")
+        with pytest.raises(SensitivityViolation, match="2L"):
+            sensitivity_check([forged])
+
     def test_violation_raised_for_forged_pair(self):
         a = _edge_dataset(4)
         b = _edge_dataset(4, seed=99)  # not truly adjacent
@@ -107,6 +116,29 @@ class TestEstimateEpsilon:
         assert est.conclusive
         assert est.epsilon_hat <= 1.0 + 0.2
 
+    def test_extremal_user_replacement_within_epsilon(self):
+        # user 0's bundle is L copies of the top-k boundary pair, won by the
+        # upper item on one side and by the lower item on the other: the
+        # count vector moves by the full 2L in l1
+        n, k, L = 4, 2, 5
+        data = sample_individual(n, 30, L, ProbMatrix(n=n, upper=np.full(6, 0.5)),
+                                 seed=4)
+        others = slice(L, None)
+        wins = np.bincount(np.where(data.y[others] == 1, data.i[others],
+                                    data.j[others]), minlength=n)
+        order = np.lexsort((np.arange(n), -wins))
+        lo, hi = sorted((int(order[k - 1]), int(order[k])))
+        bundle = (np.full(L, lo), np.full(L, hi))
+        pair = AdjacentPair(
+            replace_user(data, 0, records=bundle + (np.ones(L, dtype=np.int8),)),
+            replace_user(data, 0, records=bundle + (np.zeros(L, dtype=np.int8),)),
+            "user-replacement")
+        assert sensitivity_check([pair]).max_l1 == 2 * L
+        mech = CountTopKMechanism(k=k, epsilon=1.0, regime="individual", L=L)
+        est = estimate_epsilon(mech, pair, samples=1_000_000, seed=0)
+        assert est.conclusive
+        assert est.epsilon_hat <= 1.0 + DEFAULT_SLACK
+
     def test_nonprivate_flagged(self):
         mech = CountTopKMechanism(k=1, epsilon=math.inf, regime="edge")
         est = estimate_epsilon(mech, self._pair(), samples=100_000, seed=2)
@@ -119,13 +151,3 @@ class TestEstimateEpsilon:
         counts_ok = mech.output_masks(big, 10, rng)
         assert counts_ok.shape == (10,)
 
-
-class TestAuditReport:
-    def test_full_audit(self):
-        data = _edge_dataset(4, seed=8)
-        pair = enumerate_adjacent(data, budget=1, seed=0)[0]
-        report = audit_noisy_counts(pair, k=2, epsilon=1.0, regime="edge",
-                                    samples=150_000, seed=3)
-        assert report.max_l1_sensitivity <= 2
-        assert report.epsilon_hat <= 1.1
-        assert report.samples == 150_000

@@ -54,6 +54,19 @@ def test_estimate_seed_env_default(cems_path, capsys, monkeypatch):
     assert third["theta"] != first["theta"]
 
 
+def test_edge_mode_keeps_item_names(tmp_path, capsys):
+    path = tmp_path / "edge.csv"
+    path.write_text("user_id,item_a,item_b,winner\n"
+                    "u1,paris,london,paris\nu2,london,milan,london\n"
+                    "u3,paris,milan,paris\n")
+    main(["estimate", "--data", str(path), "--mode", "edge", "--epsilon", "inf"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ranking"] == ["paris", "london", "milan"]
+    main(["rank", "--data", str(path), "--mode", "edge", "--epsilon", "inf",
+          "--k", "1"])
+    assert json.loads(capsys.readouterr().out)["top_k"] == ["paris"]
+
+
 def test_rank_subcommand(cems_path, capsys):
     rc = main(["rank", "--data", cems_path, "--mode", "individual",
                "--epsilon", "inf", "--k", "2", "--seed", "0"])

@@ -41,7 +41,8 @@ class TestNoiseScale:
         assert noise_scale(2.0, "edge") == 1.0
 
     def test_individual_scale(self):
-        assert noise_scale(1.0, "individual", L=5) == 5.0
+        # replacing one bundle of L comparisons moves the counts by 2L in l1
+        assert noise_scale(1.0, "individual", L=5) == 10.0
 
     def test_infinite_epsilon(self):
         assert noise_scale(math.inf, "edge") == 0.0
