@@ -23,7 +23,7 @@ from .data import ComparisonGraph, EdgeDataset, IndividualDataset, pair_arrays, 
 from .metrics import descending_order
 
 MIN_EPSILON_SAMPLES = 100_000
-DEFAULT_COUNT_FLOOR = 30
+COUNT_FLOOR = 30
 DEFAULT_SLACK = 0.1
 
 
@@ -191,14 +191,13 @@ class CountTopKMechanism:
 
 
 def estimate_epsilon(mechanism: CountTopKMechanism, pair: AdjacentPair,
-                     samples: int, seed=None,
-                     count_floor: int = DEFAULT_COUNT_FLOOR) -> EpsilonEstimate:
+                     samples: int, seed=None) -> EpsilonEstimate:
     """Frequency-based empirical epsilon lower bound on one adjacent pair.
 
     Replays the mechanism on base and variant, then takes the max absolute
     log-ratio of output-set frequencies over sets observed at least
-    ``count_floor`` times on both sides. Inconclusive when no set reaches
-    the floor on both sides.
+    ``COUNT_FLOOR`` times on both sides. Inconclusive when no set reaches the
+    floor on both sides.
     """
     if samples < MIN_EPSILON_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_EPSILON_SAMPLES}")
@@ -215,7 +214,7 @@ def estimate_epsilon(mechanism: CountTopKMechanism, pair: AdjacentPair,
     all_masks = np.union1d(np.unique(masks_a), np.unique(masks_b))
     counts_a = np.array([(masks_a == mk).sum() for mk in all_masks], dtype=float)
     counts_b = np.array([(masks_b == mk).sum() for mk in all_masks], dtype=float)
-    ok = (counts_a >= count_floor) & (counts_b >= count_floor)
+    ok = (counts_a >= COUNT_FLOOR) & (counts_b >= COUNT_FLOOR)
     if not np.any(ok):
         return EpsilonEstimate(epsilon_hat=math.nan,
                                epsilon_declared=mechanism.epsilon,

@@ -60,7 +60,7 @@ class ProbMatrix:
 
 @dataclass(frozen=True)
 class ComparisonGraph:
-    """Set of compared pairs; edges stored as parallel index arrays with i < j."""
+    """Compared pairs as parallel index arrays with i < j, sorted by (i, j)."""
 
     n: int
     i: np.ndarray
@@ -73,9 +73,10 @@ class ComparisonGraph:
         if self.n_edges and (np.any(self.i >= self.j) or np.any(self.i < 0)
                              or np.any(self.j >= self.n)):
             raise ValueError("edges must satisfy 0 <= i < j < n")
+        # strictly increasing keys rule out duplicates in one O(E) pass
         key = self.i.astype(np.int64) * self.n + self.j
-        if len(np.unique(key)) != self.n_edges:
-            raise ValueError("duplicate edges")
+        if np.any(key[1:] <= key[:-1]):
+            raise ValueError("edges must be sorted by (i, j) without duplicates")
 
     @property
     def n_edges(self) -> int:

@@ -15,7 +15,7 @@ import math
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -31,8 +31,13 @@ EPS_LEVELS = (0.5, 1.0, 2.5, math.inf)
 ALGORITHMS = ("parametric", "nonparametric")
 
 
-def eps_token(eps: float) -> str:
-    return "inf" if math.isinf(eps) else format(eps, "g")
+def eps_token(x: float) -> str:
+    """Text for an epsilon or p value that ``parse_eps`` reads back exactly:
+    the short "g" form ("0.5", "1", "inf") when it round-trips, else repr."""
+    if math.isinf(x):
+        return "inf"
+    text = format(x, "g")
+    return text if float(text) == x else repr(float(x))
 
 
 def parse_eps(token: str) -> float:
@@ -68,27 +73,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """A preset plus run-key overrides, or an explicit grid; unknown keys fail."""
         raw = json.loads(text)
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         if "preset" in raw and set(raw) <= {"preset", "trials", "master_seed", "output_path"}:
-            cfg = preset_config(raw["preset"])
-            for key in ("trials", "master_seed", "output_path"):
-                if key in raw:
-                    cfg = replace(cfg, **{key: raw[key]})
-            return cfg
-        eps = tuple(parse_eps(str(e)) for e in raw["epsilon_values"])
-        return cls(
-            preset=raw.get("preset", "custom"),
-            regime=raw["regime"],
-            n_values=tuple(raw["n_values"]),
-            epsilon_values=eps,
-            p_values=tuple(raw.get("p_values", ())),
-            m_values=tuple(raw.get("m_values", ())),
-            L=raw.get("L", 1),
-            trials=raw.get("trials", 50),
-            master_seed=raw.get("master_seed", 0),
-            algorithms=tuple(raw.get("algorithms", ALGORITHMS)),
-            output_path=raw.get("output_path"),
-        )
+            return replace(preset_config(raw.pop("preset")), **raw)
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in raw and f.name != "preset"]
+        if missing:
+            raise ValueError(f"missing config key(s): {', '.join(missing)}")
+        if "epsilon_values" in raw:
+            raw["epsilon_values"] = [parse_eps(str(e)) for e in raw["epsilon_values"]]
+        return cls(**{"preset": "custom",
+                      **{k: tuple(v) if isinstance(v, list) else v
+                         for k, v in raw.items()}})
 
 
 def preset_config(name: str) -> ExperimentConfig:
@@ -134,7 +134,7 @@ class TrialRecord:
 def substream(master_seed: int, experiment: str, n: int, p, m, L: int,
               eps: float, trial: int) -> tuple[np.random.SeedSequence, str]:
     """Deterministic per-trial seed sequence and a short id for the CSV."""
-    p_tok = "" if p is None else format(p, "g")
+    p_tok = "" if p is None else eps_token(p)
     m_tok = "" if m is None else str(m)
     key = f"{master_seed}|{experiment}|{n}|{p_tok}|{m_tok}|{L}|{eps_token(eps)}|{trial}"
     digest = hashlib.sha256(key.encode()).digest()
@@ -167,13 +167,12 @@ def _trial_records(cfg: ExperimentConfig, n: int, p, m, eps: float,
                            value=float(np.max(np.abs(theta_star))), **common)]
 
     if "parametric" in cfg.algorithms:
-        if cfg.regime == "edge":
-            calib = calibrate_edge(eps, n, p, link)
-        else:
-            calib = calibrate_individual(eps, n, m, cfg.L, link)
         with warnings.catch_warnings():
+            # the utility-guarantee warning would repeat on every trial
             warnings.simplefilter("ignore")
-            theta_hat = estimate(dataset, calib, link, seed=rng)
+            calib = (calibrate_edge(eps, n, p, link) if cfg.regime == "edge"
+                     else calibrate_individual(eps, n, m, cfg.L, link))
+        theta_hat = estimate(dataset, calib, link, seed=rng)
         est_set = rank_from_scores(theta_hat, k)
         centered = theta_hat - theta_hat.mean()
         values = {
@@ -364,8 +363,8 @@ def max_mean_rank_diff(n: int) -> float:
     return 2.0 * (n * n // 4) / n
 
 
-def real_data_eval(data: IndividualDataset, epsilons, trials: int, seed: int = 0,
-                   experiment: str = "real_data") -> list[TrialRecord]:
+def real_data_eval(data: IndividualDataset, epsilons, trials: int,
+                   seed: int = 0) -> list[TrialRecord]:
     """Mean rank difference of the private rankings against non-private references.
 
     The references are the ridge MLE ordering (epsilon = inf calibration) and
@@ -383,12 +382,10 @@ def real_data_eval(data: IndividualDataset, epsilons, trials: int, seed: int = 0
     for eps in epsilons:
         calib = calibrate_individual(eps, data.n, data.m, data.L, link)
         for t in range(trials):
-            ss, seed_id = substream(seed, experiment, data.n, None, data.m,
+            ss, seed_id = substream(seed, "real_data", data.n, None, data.m,
                                     data.L, eps, t)
             rng = np.random.default_rng(ss)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                theta_hat = estimate(data, calib, link, seed=rng)
+            theta_hat = estimate(data, calib, link, seed=rng)
             diff_par = metrics_mod.mean_abs_rank_diff(
                 metrics_mod.descending_order(theta_hat), ranking_mle)
             ranking_np = counts_mod.noisy_full_ranking(wins, eps, "individual",
@@ -399,7 +396,7 @@ def real_data_eval(data: IndividualDataset, epsilons, trials: int, seed: int = 0
                     raise AssertionError(
                         f"rank difference {val} outside [0, {bound}]")
                 records.append(TrialRecord(
-                    experiment=experiment, algorithm=algo, n=data.n, epsilon=eps,
+                    experiment="real_data", algorithm=algo, n=data.n, epsilon=eps,
                     trial=t, seed=seed_id, metric="mean_abs_rank_diff", value=val,
                     m=data.m, L=data.L))
     records.sort(key=TrialRecord.sort_key)

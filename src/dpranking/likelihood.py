@@ -5,6 +5,10 @@ aggregated individual form (per-pair counts and win fractions) reduce to the
 same weighted-pair representation, so a single set of routines serves both.
 ``grad`` and ``hessian`` differentiate the full perturbed objective
 nll + (gamma/2)||theta||^2 + w.theta; ``nll`` is the likelihood term alone.
+
+Under the logistic (Bradley-Terry-Luce) link, log F(-t) = log F(t) - t, so a
+pair's term has derivative F(t) - ybar and curvature F(t)F(-t) in
+t = theta_i - theta_j: each evaluation makes one link pass.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ def aggregate(data: IndividualDataset
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A perturbed ridge likelihood: data pairs, link, gamma, and noise vector w."""
+    """A perturbed ridge likelihood: data pairs, logistic link, gamma, noise w."""
 
     n: int
     i: np.ndarray
@@ -48,6 +52,9 @@ class ObjectiveSpec:
     w: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.link.name != "logistic":
+            raise ValueError(f"closed-form likelihood needs the logistic link, "
+                             f"got {self.link.name!r}")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         if self.w is not None and self.w.shape != (self.n,):
@@ -71,8 +78,8 @@ def nll(theta: np.ndarray, spec: ObjectiveSpec) -> float:
     """Likelihood term only; ridge and perturbation excluded."""
     theta = np.asarray(theta, dtype=float)
     t = theta[spec.i] - theta[spec.j]
-    # log(1 - F(t)) = log F(-t) by symmetry (A0); stable at large |t|
-    terms = -spec.ybar * spec.link.log_eval(t) - (1.0 - spec.ybar) * spec.link.log_eval(-t)
+    # -ybar log F(t) - (1 - ybar) log F(-t) with log F(-t) = log F(t) - t
+    terms = (1.0 - spec.ybar) * t - spec.link.log_eval(t)
     return float(np.dot(spec.M, terms))
 
 
@@ -89,9 +96,7 @@ def grad(theta: np.ndarray, spec: ObjectiveSpec) -> np.ndarray:
     """Gradient of the full objective (ridge and perturbation included)."""
     theta = np.asarray(theta, dtype=float)
     t = theta[spec.i] - theta[spec.j]
-    f = spec.link.eval(t)
-    fm = spec.link.eval(-t)  # 1 - F(t) by (A0), stable at large t
-    coef = spec.M * (f - spec.ybar) * spec.link.deriv(t) / (f * fm)
+    coef = spec.M * (spec.link.eval(t) - spec.ybar)
     g = np.bincount(spec.i, weights=coef, minlength=spec.n)
     g -= np.bincount(spec.j, weights=coef, minlength=spec.n)
     g += spec.gamma * theta
@@ -106,10 +111,8 @@ def hessian(theta: np.ndarray, spec: ObjectiveSpec) -> np.ndarray:
         raise ValueError(f"dense Hessian limited to n <= {HESSIAN_DENSE_LIMIT}")
     theta = np.asarray(theta, dtype=float)
     t = theta[spec.i] - theta[spec.j]
-    # outcome-weighted curvature: ybar pulls in d^2(-log F)(t), the complement
-    # in d^2(-log(1-F))(t) = d^2(-log F)(-t)
-    c = spec.M * (spec.ybar * spec.link.neg_log_second(t)
-                  + (1.0 - spec.ybar) * spec.link.neg_log_second(-t))
+    # both outcomes have curvature F(t)F(-t), so ybar drops out
+    c = spec.M * spec.link.neg_log_second(t)
     H = np.zeros((spec.n, spec.n))
     np.add.at(H, (spec.i, spec.i), c)
     np.add.at(H, (spec.j, spec.j), c)

@@ -20,8 +20,10 @@ from scipy.special import expit, log_expit
 class LinkFunction:
     """A symmetric, strictly increasing CDF-like function with derivatives.
 
-    ``neg_log_second`` is d^2/dx^2 of -log F(x). ``log_eval`` is a
-    numerically stable log F, usable at |x| up to a few hundred.
+    ``eval`` and ``log_eval`` (a stable log F, usable at |x| up to a few
+    hundred) feed the likelihood; ``neg_log_second`` (d^2/dx^2 of -log F)
+    feeds its Hessian. ``deriv`` and ``neg_log_second`` are also the
+    certificate for ``kappa1`` and ``kappa2`` that the link tests check.
     """
 
     name: str

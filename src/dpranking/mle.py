@@ -55,15 +55,15 @@ class PrivacyCalibration:
             raise ValueError("L must be >= 1")
 
 
-def calibrate_edge(epsilon: float, n: int, p: float, link: LinkFunction,
-                   c0: float = DEFAULT_C0) -> PrivacyCalibration:
+def calibrate_edge(epsilon: float, n: int, p: float,
+                   link: LinkFunction) -> PrivacyCalibration:
     """Edge-DP calibration: lambda = 8 kappa1/eps, gamma = max(4 kappa2/eps, c0 sqrt(np log n)).
 
     epsilon = inf is the non-private sentinel: no noise, utility gamma only.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    utility = c0 * math.sqrt(n * p * math.log(n)) if n > 1 else c0
+    utility = DEFAULT_C0 * math.sqrt(n * p * math.log(n)) if n > 1 else DEFAULT_C0
     if math.isinf(epsilon):
         return PrivacyCalibration(epsilon=epsilon, lam=0.0, gamma=utility,
                                   regime="edge", floor_binding=False)
@@ -78,7 +78,7 @@ def calibrate_edge(epsilon: float, n: int, p: float, link: LinkFunction,
 
 
 def calibrate_individual(epsilon: float, n: int, m: int, L: int,
-                         link: LinkFunction, c0: float = DEFAULT_C0) -> PrivacyCalibration:
+                         link: LinkFunction) -> PrivacyCalibration:
     """Individual-DP calibration: lambda = 8 L kappa1/eps, gamma floor 8 L kappa2/eps.
 
     The utility value uses the effective per-item comparison count S = 2mL/n.
@@ -88,7 +88,7 @@ def calibrate_individual(epsilon: float, n: int, m: int, L: int,
     if L < 1:
         raise ValueError("L must be >= 1")
     S = 2.0 * m * L / n
-    utility = c0 * math.sqrt(S * math.log(n)) if n > 1 else c0
+    utility = DEFAULT_C0 * math.sqrt(S * math.log(n)) if n > 1 else DEFAULT_C0
     if math.isinf(epsilon):
         return PrivacyCalibration(epsilon=epsilon, lam=0.0, gamma=utility,
                                   regime="individual", L=L, floor_binding=False)
@@ -118,8 +118,7 @@ def _build_spec(data, calib: PrivacyCalibration, link: LinkFunction,
 
 
 def estimate_full(data, calib: PrivacyCalibration, link: LinkFunction,
-                  solver: SolverConfig | None = None, seed=None,
-                  ) -> tuple[np.ndarray, SolveInfo]:
+                  seed=None) -> tuple[np.ndarray, SolveInfo]:
     """Draw the perturbation and solve the strongly convex program from zero.
 
     Returns the estimate together with solver diagnostics. Raises
@@ -127,24 +126,16 @@ def estimate_full(data, calib: PrivacyCalibration, link: LinkFunction,
     """
     n = data.n
     rng = rng_from(seed)
-    if calib.lam > 0:
-        w = rng.laplace(scale=calib.lam, size=n)
-    else:
-        w = np.zeros(n)
+    w = rng.laplace(scale=calib.lam, size=n) if calib.lam > 0 else np.zeros(n)
     spec = _build_spec(data, calib, link, w)
-    if solver is None:
-        solver = default_solver_config(calib.gamma)
-    theta, info = minimize(lambda t: objective(t, spec),
-                           lambda t: grad(t, spec),
-                           np.zeros(n), solver)
-    return theta, info
+    return minimize(lambda t: objective(t, spec), lambda t: grad(t, spec),
+                    np.zeros(n), default_solver_config(calib.gamma))
 
 
 def estimate(data, calib: PrivacyCalibration, link: LinkFunction,
-             solver: SolverConfig | None = None, seed=None) -> np.ndarray:
+             seed=None) -> np.ndarray:
     """The perturbed MLE; see estimate_full for diagnostics."""
-    theta, _ = estimate_full(data, calib, link, solver=solver, seed=seed)
-    return theta
+    return estimate_full(data, calib, link, seed=seed)[0]
 
 
 def rank_from_scores(theta: np.ndarray, k: int) -> np.ndarray:

@@ -65,6 +65,10 @@ class TestGraphSampling:
         with pytest.raises(ValueError, match="duplicate"):
             ComparisonGraph(n=3, i=np.array([0, 0]), j=np.array([1, 1]), p=1.0)
 
+    def test_unsorted_edges_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            ComparisonGraph(n=3, i=np.array([0, 0]), j=np.array([2, 1]), p=1.0)
+
 
 class TestRhoFromTheta:
     def test_equal_strengths(self, link):

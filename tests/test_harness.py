@@ -1,8 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dpranking.harness import (AdjacencyModelError, ExperimentConfig,
                                ParseError, eps_token, ingest,
@@ -20,6 +22,22 @@ class TestEpsTokens:
     def test_inf_spelling(self):
         assert eps_token(math.inf) == "inf"
         assert parse_eps("Infinity") == math.inf
+
+    def test_shipped_tokens_unchanged(self):
+        assert [eps_token(e) for e in (0.5, 1.0, 2.5, math.inf)] == \
+            ["0.5", "1", "2.5", "inf"]
+        assert [eps_token(p) for p in (0.25, 0.75, 1)] == ["0.25", "0.75", "1"]
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_nan=False))
+    def test_round_trip_any_positive_float(self, x):
+        assert parse_eps(eps_token(x)) == x
+
+    def test_close_values_get_distinct_tokens_and_streams(self):
+        assert eps_token(1.0000001) != eps_token(1.0)
+        eps_a = substream(0, "exp1", 50, 1.0, None, 1, 1.0, 0)[1]
+        eps_b = substream(0, "exp1", 50, 1.0, None, 1, 1.0000001, 0)[1]
+        p_b = substream(0, "exp1", 50, 1.0000001, None, 1, 1.0, 0)[1]
+        assert len({eps_a, eps_b, p_b}) == 3
 
 
 class TestConfig:
@@ -45,6 +63,22 @@ class TestConfig:
             "regime": "edge", "n_values": [10], "p_values": [1.0],
             "epsilon_values": ["1", "inf"], "trials": 2}))
         assert cfg.epsilon_values == (1.0, math.inf)
+
+    def test_from_json_rejects_misspelled_key(self):
+        with pytest.raises(ValueError, match="trail"):
+            ExperimentConfig.from_json(json.dumps({
+                "regime": "edge", "n_values": [10], "p_values": [1.0],
+                "epsilon_values": ["1"], "trail": 3}))
+
+    def test_from_json_rejects_removed_link_key(self):
+        with pytest.raises(ValueError, match="link"):
+            ExperimentConfig.from_json(
+                json.dumps({"preset": "exp1", "trials": 3, "link": "logistic"}))
+
+    def test_from_json_names_missing_keys(self):
+        # a preset plus a grid key is read as an explicit grid
+        with pytest.raises(ValueError, match="regime, n_values, epsilon_values"):
+            ExperimentConfig.from_json(json.dumps({"preset": "exp1", "L": 2}))
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
@@ -94,6 +128,12 @@ class TestRunExperiment:
         write_records_csv(r1, p1)
         write_records_csv(r2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_private_edge_trials_do_not_warn(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(_tiny_config(epsilon_values=(0.5,), trials=1))
+        assert [str(w.message) for w in caught] == []
 
     def test_individual_regime_runs(self):
         cfg = ExperimentConfig(preset="exp5", regime="individual",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,45 @@ class TestGrad:
             g = grad(theta, spec)
             fd = fd_grad(lambda t: objective(t, spec), theta)
             assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("theta", [(400.0, -400.0), (-400.0, 400.0)])
+    def test_finite_at_extreme_scores(self, theta):
+        # one edge won by item 0: the gradient is (F(t) - 1) * (1, -1) with
+        # t = theta_0 - theta_1, which is 0 at t = 800 and -1 at t = -800
+        data = sample_edge_outcomes(sample_er_graph(2, 1.0, seed=0),
+                                    ProbMatrix(n=2, upper=np.array([1.0])), seed=0)
+        spec = ObjectiveSpec.from_edge(data, LINK)
+        theta = np.array(theta)
+        expected = (float(LINK.eval(theta[0] - theta[1])) - 1.0) * np.array([1.0, -1.0])
+        assert np.array_equal(grad(theta, spec), expected)
+
+
+def test_one_link_pass_per_evaluation():
+    calls = []
+
+    def counted(fn):
+        def wrapper(x):
+            calls.append(np.size(x))
+            return fn(x)
+        return wrapper
+
+    link = replace(LINK, eval=counted(LINK.eval), deriv=counted(LINK.deriv),
+                   neg_log_second=counted(LINK.neg_log_second),
+                   log_eval=counted(LINK.log_eval))
+    rng = np.random.default_rng(23)
+    base = _random_edge_spec(rng, gamma=1.0, with_w=True)
+    spec = replace(base, link=link)
+    theta = rng.normal(size=spec.n)
+    for fn in (nll, objective, grad, hessian):
+        calls.clear()
+        fn(theta, spec)
+        assert calls == [len(spec.i)], fn.__name__
+
+
+def test_rejects_non_logistic_link():
+    with pytest.raises(ValueError, match="logistic"):
+        ObjectiveSpec(n=2, i=np.array([0]), j=np.array([1]), M=np.array([1.0]),
+                      ybar=np.array([1.0]), link=replace(LINK, name="probit"))
 
 
 class TestHessian:

@@ -23,9 +23,11 @@ class TestCalibrateEdge:
         assert calib.floor_binding
 
     def test_nonprivate_sentinel(self):
-        calib = calibrate_edge(math.inf, 300, 1.0, LINK, c0=1.0)
+        from dpranking.mle import DEFAULT_C0
+        calib = calibrate_edge(math.inf, 100, 0.5, LINK)
         assert calib.lam == 0.0
-        assert calib.gamma == pytest.approx(math.sqrt(300 * math.log(300)))
+        assert calib.gamma == pytest.approx(
+            DEFAULT_C0 * math.sqrt(100 * 0.5 * math.log(100)))
         assert not calib.floor_binding
 
     def test_default_c0_scales_utility_term(self):
