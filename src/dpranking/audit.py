@@ -24,7 +24,6 @@ from .metrics import descending_order
 
 MIN_EPSILON_SAMPLES = 100_000
 COUNT_FLOOR = 30
-DEFAULT_SLACK = 0.1
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,25 @@ def user_replacement_pairs(data: IndividualDataset, count: int, seed=None
         pairs.append(AdjacentPair(data, replace_user(data, user, seed=rng),
                                   "user-replacement"))
     return pairs
+
+
+def extremal_user_pair(data: IndividualDataset, k: int) -> AdjacentPair:
+    """User 0's bundle on the top-k boundary pair, won by opposite items.
+
+    The boundary pair is the k-th and (k+1)-th items by the other users' win
+    counts; both bundles hold L copies of it, so the counts move by 2L in l1.
+    """
+    if not 1 <= k < data.n:
+        raise ValueError("k must lie in [1, n-1]")
+    others = slice(data.L, None)
+    wins = np.bincount(np.where(data.y[others] == 1, data.i[others], data.j[others]),
+                       minlength=data.n)
+    lo, hi = sorted(int(t) for t in descending_order(wins)[k - 1:k + 1])
+    bundle = (np.full(data.L, lo), np.full(data.L, hi))
+    return AdjacentPair(
+        replace_user(data, 0, records=bundle + (np.ones(data.L, dtype=np.int8),)),
+        replace_user(data, 0, records=bundle + (np.zeros(data.L, dtype=np.int8),)),
+        "user-replacement")
 
 
 def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:

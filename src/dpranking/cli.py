@@ -105,7 +105,7 @@ def _cmd_audit(args):
     else:
         L = 5
         base = sample_individual(n, 50, L, rho, seed=rng)
-        pair = audit_mod.user_replacement_pairs(base, 1, seed=rng)[0]
+        pair = audit_mod.extremal_user_pair(base, k)
     sens = audit_mod.sensitivity_check([pair])
     mechanism = audit_mod.CountTopKMechanism(k=k, epsilon=eps, regime=args.mode, L=L)
     est = audit_mod.estimate_epsilon(mechanism, pair, args.samples, seed=rng)

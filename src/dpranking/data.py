@@ -49,14 +49,6 @@ class ProbMatrix:
         rho[ju, iu] = 1.0 - self.upper
         return rho
 
-    def prob(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.5
-        a, b = (i, j) if i < j else (j, i)
-        idx = a * (2 * self.n - a - 1) // 2 + (b - a - 1)
-        p = float(self.upper[idx])
-        return p if i < j else 1.0 - p
-
 
 @dataclass(frozen=True)
 class ComparisonGraph:
@@ -161,8 +153,9 @@ def sample_edge_outcomes(graph: ComparisonGraph, rho: ProbMatrix, seed=None) -> 
     if graph.n != rho.n:
         raise ValueError("graph and rho sizes differ")
     rng = rng_from(seed)
-    full = rho.full()
-    probs = full[graph.i, graph.j]
+    i, j = graph.i.astype(np.int64, copy=False), graph.j.astype(np.int64, copy=False)
+    # row-major position of (i, j) in the packed strict upper triangle
+    probs = rho.upper[i * (2 * graph.n - i - 1) // 2 + (j - i - 1)]
     y = (rng.random(graph.n_edges) < probs).astype(np.int8)
     return EdgeDataset(graph=graph, y=y)
 

@@ -28,7 +28,6 @@ from .links import get_link
 from .mle import calibrate_edge, calibrate_individual, estimate, rank_from_scores
 
 EPS_LEVELS = (0.5, 1.0, 2.5, math.inf)
-ALGORITHMS = ("parametric", "nonparametric")
 
 
 def eps_token(x: float) -> str:
@@ -55,7 +54,6 @@ class ExperimentConfig:
     L: int = 1
     trials: int = 50
     master_seed: int = 0
-    algorithms: tuple[str, ...] = ALGORITHMS
     output_path: str | None = None
 
     def __post_init__(self):
@@ -67,9 +65,6 @@ class ExperimentConfig:
             raise ValueError("edge regime requires p_values")
         if self.regime == "individual" and not self.m_values:
             raise ValueError("individual regime requires m_values")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -78,6 +73,12 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        for key, kind in (("n_values", list), ("epsilon_values", list), ("p_values", list),
+                          ("m_values", list), ("L", int), ("trials", int),
+                          ("master_seed", int)):
+            if key in raw and (not isinstance(raw[key], kind) or isinstance(raw[key], bool)):
+                raise ValueError(f"config key {key!r} must be a JSON "
+                                 f"{'array' if kind is list else 'integer'}")
         if "preset" in raw and set(raw) <= {"preset", "trials", "master_seed", "output_path"}:
             return replace(preset_config(raw.pop("preset")), **raw)
         missing = [f.name for f in fields(cls)
@@ -166,38 +167,35 @@ def _trial_records(cfg: ExperimentConfig, n: int, p, m, eps: float,
     records = [TrialRecord(algorithm="truth", metric="theta_star_inf_norm",
                            value=float(np.max(np.abs(theta_star))), **common)]
 
-    if "parametric" in cfg.algorithms:
-        with warnings.catch_warnings():
-            # the utility-guarantee warning would repeat on every trial
-            warnings.simplefilter("ignore")
-            calib = (calibrate_edge(eps, n, p, link) if cfg.regime == "edge"
-                     else calibrate_individual(eps, n, m, cfg.L, link))
-        theta_hat = estimate(dataset, calib, link, seed=rng)
-        est_set = rank_from_scores(theta_hat, k)
-        centered = theta_hat - theta_hat.mean()
-        values = {
-            "linf_rel_log": metrics_mod.linf_rel_log_error(theta_hat, theta_star),
-            "l2_rel_log": metrics_mod.l2_rel_log_error(theta_hat, theta_star),
-            "linf_rel_log_centered": metrics_mod.linf_rel_log_error(centered, theta_star),
-            "l2_rel_log_centered": metrics_mod.l2_rel_log_error(centered, theta_star),
-            "linf_error": float(np.max(np.abs(theta_hat - theta_star))),
-            "topk_overlap_loss": metrics_mod.topk_overlap_loss(est_set, true_set, k),
-            "hamming": float(metrics_mod.hamming_sets(est_set, true_set)),
-        }
-        records += [TrialRecord(algorithm="parametric", metric=name, value=val, **common)
-                    for name, val in values.items()]
+    with warnings.catch_warnings():
+        # the utility-guarantee warning would repeat on every trial
+        warnings.simplefilter("ignore")
+        calib = (calibrate_edge(eps, n, p, link) if cfg.regime == "edge"
+                 else calibrate_individual(eps, n, m, cfg.L, link))
+    theta_hat = estimate(dataset, calib, link, seed=rng)
+    est_set = rank_from_scores(theta_hat, k)
+    centered = theta_hat - theta_hat.mean()
+    values = {
+        "linf_rel_log": metrics_mod.linf_rel_log_error(theta_hat, theta_star),
+        "l2_rel_log": metrics_mod.l2_rel_log_error(theta_hat, theta_star),
+        "linf_rel_log_centered": metrics_mod.linf_rel_log_error(centered, theta_star),
+        "l2_rel_log_centered": metrics_mod.l2_rel_log_error(centered, theta_star),
+        "linf_error": float(np.max(np.abs(theta_hat - theta_star))),
+        "topk_overlap_loss": metrics_mod.topk_overlap_loss(est_set, true_set, k),
+        "hamming": float(metrics_mod.hamming_sets(est_set, true_set)),
+    }
+    records += [TrialRecord(algorithm="parametric", metric=name, value=val, **common)
+                for name, val in values.items()]
 
-    if "nonparametric" in cfg.algorithms:
-        wins = counts_mod.win_counts(dataset)
-        np_L = cfg.L if cfg.regime == "individual" else 1
-        est_set = counts_mod.noisy_topk(wins, k, eps, cfg.regime, L=np_L, seed=rng)
-        values = {
-            "topk_overlap_loss": metrics_mod.topk_overlap_loss(est_set, true_set, k),
-            "hamming": float(metrics_mod.hamming_sets(est_set, true_set)),
-        }
-        records += [TrialRecord(algorithm="nonparametric", metric=name, value=val,
-                                **common)
-                    for name, val in values.items()]
+    wins = counts_mod.win_counts(dataset)
+    np_L = cfg.L if cfg.regime == "individual" else 1
+    est_set = counts_mod.noisy_topk(wins, k, eps, cfg.regime, L=np_L, seed=rng)
+    values = {
+        "topk_overlap_loss": metrics_mod.topk_overlap_loss(est_set, true_set, k),
+        "hamming": float(metrics_mod.hamming_sets(est_set, true_set)),
+    }
+    records += [TrialRecord(algorithm="nonparametric", metric=name, value=val, **common)
+                for name, val in values.items()]
     return records
 
 
@@ -342,18 +340,6 @@ def ingest(path: str, mode: str, L_policy: str = "strict"
     return IndividualDataset(n=n, m=len(kept), L=L, i=i, j=j, y=y, items=items)
 
 
-def write_individual_csv(data: IndividualDataset, path: str) -> None:
-    """Serialize in the raw comparison schema; inverse of individual-mode ingest."""
-    items = data.item_names()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("user_id,item_a,item_b,winner\n")
-        for u in range(data.m):
-            s = data.user_slice(u)
-            for lo, hi, y in zip(data.i[s], data.j[s], data.y[s]):
-                winner = items[lo] if y == 1 else items[hi]
-                fh.write(f"user_{u + 1},{items[lo]},{items[hi]},{winner}\n")
-
-
 # ---------------------------------------------------------------------------
 # real-data evaluation
 
@@ -402,21 +388,3 @@ def real_data_eval(data: IndividualDataset, epsilons, trials: int,
     records.sort(key=TrialRecord.sort_key)
     return records
 
-
-def make_cems_like(seed: int = 7, m: int = 303, n: int = 6) -> IndividualDataset:
-    """Synthetic dataset in the shape of the university-preference survey.
-
-    Each of m users compares every one of the C(n,2) pairs exactly once
-    (L = 15 for n = 6), with outcomes from a logistic model.
-    """
-    link = get_link("logistic")
-    rng = np.random.default_rng(seed)
-    theta = generate_theta(n, max(1, n // 4), seed=rng, top_inclusive=True)
-    rho = rho_from_theta(theta, link)
-    iu, ju = np.triu_indices(n, k=1)
-    L = len(iu)
-    i = np.tile(iu, m)
-    j = np.tile(ju, m)
-    probs = np.tile(rho.upper, m)
-    y = (rng.random(m * L) < probs).astype(np.int8)
-    return IndividualDataset(n=n, m=m, L=L, i=i, j=j, y=y)

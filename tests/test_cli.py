@@ -1,17 +1,14 @@
 import json
+import pathlib
 
-import numpy as np
 import pytest
 
 from dpranking.cli import main
-from dpranking.harness import make_cems_like, write_individual_csv
 
 
 @pytest.fixture()
-def cems_path(tmp_path):
-    path = tmp_path / "cems.csv"
-    write_individual_csv(make_cems_like(seed=1, m=12, n=4), path)
-    return str(path)
+def cems_path():
+    return str(pathlib.Path(__file__).resolve().parent.parent / "data" / "cems_synthetic.csv")
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -33,7 +30,7 @@ def test_estimate_json_output(cems_path, tmp_path, capsys):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert set(payload) == {"epsilon", "theta", "ranking", "top_k", "diagnostics"}
-    assert len(payload["theta"]) == 4
+    assert len(payload["theta"]) == 6
     sidecar = json.loads((tmp_path / "est.json.diag.json").read_text())
     assert {"iterations", "final_grad_sup_norm", "floor_binding"} <= set(sidecar)
 
@@ -82,6 +79,16 @@ def test_audit_subcommand(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["epsilon_declared"] == "1"
     assert payload["max_l1_sensitivity"] <= 2
+    assert payload["epsilon_hat"] <= 1.2
+
+
+def test_audit_individual_subcommand(capsys):
+    # the replayed pair is the worst-case user replacement: 2L = 10 in l1 at L = 5
+    rc = main(["audit", "--mode", "individual", "--epsilon", "1",
+               "--samples", "200000", "--seed", "0"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_l1_sensitivity"] == 10
     assert payload["epsilon_hat"] <= 1.2
 
 

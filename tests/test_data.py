@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpranking.data import (ComparisonGraph, IndividualDataset, ProbMatrix,
                             generate_theta, pair_arrays, pair_count,
@@ -20,14 +21,6 @@ class TestProbMatrix:
         full = pm.full()
         assert np.array_equal(full + full.T, np.ones((5, 5)))
         assert np.all(np.diag(full) == 0.5)
-
-    def test_prob_lookup_matches_full(self):
-        rng = np.random.default_rng(1)
-        pm = ProbMatrix(n=6, upper=rng.random(15))
-        full = pm.full()
-        for i in range(6):
-            for j in range(6):
-                assert pm.prob(i, j) == pytest.approx(full[i, j])
 
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError):
@@ -73,12 +66,12 @@ class TestGraphSampling:
 class TestRhoFromTheta:
     def test_equal_strengths(self, link):
         pm = rho_from_theta(np.zeros(2), link)
-        assert pm.prob(0, 1) == pytest.approx(0.5)
+        assert pm.upper[0] == pytest.approx(0.5)
 
     def test_known_value(self, link):
         pm = rho_from_theta(np.array([1.0, -1.0]), link)
-        assert pm.prob(0, 1) == pytest.approx(1.0 / (1.0 + np.exp(-2)), abs=1e-9)
-        assert pm.prob(0, 1) == pytest.approx(0.880797, abs=1e-6)
+        assert pm.upper[0] == pytest.approx(1.0 / (1.0 + np.exp(-2)), abs=1e-9)
+        assert pm.upper[0] == pytest.approx(0.880797, abs=1e-6)
 
     def test_ordering_preserved_in_tau(self, link):
         from dpranking.metrics import tau
@@ -102,6 +95,20 @@ class TestOutcomeSampling:
         wins = sum(int(sample_edge_outcomes(g, pm, seed=s).y[0])
                    for s in range(10000))
         assert abs(wins / 10000 - 0.7) < 0.02
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), p=st.floats(0.05, 1.0),
+           upper_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    def test_packed_lookup_matches_dense(self, n, p, upper_seed, seed):
+        # each edge's draw is compared with rho[i, j] read from a dense matrix
+        g = sample_er_graph(n, p, seed=seed)
+        pm = ProbMatrix(n=n, upper=np.random.default_rng(upper_seed).random(pair_count(n)))
+        dense = np.full((n, n), 0.5)
+        iu, ju = pair_arrays(n)
+        dense[iu, ju] = pm.upper
+        dense[ju, iu] = 1.0 - pm.upper
+        expected = np.random.default_rng(seed).random(g.n_edges) < dense[g.i, g.j]
+        assert np.array_equal(sample_edge_outcomes(g, pm, seed=seed).y, expected)
 
     def test_size_mismatch(self):
         g = sample_er_graph(3, 1.0, seed=0)

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -8,10 +10,11 @@ from hypothesis import given, strategies as st
 
 from dpranking.harness import (AdjacencyModelError, ExperimentConfig,
                                ParseError, eps_token, ingest,
-                               make_cems_like, max_mean_rank_diff, parse_eps,
-                               preset_config, real_data_eval, run_experiment,
-                               substream, write_individual_csv,
+                               max_mean_rank_diff, parse_eps, preset_config,
+                               real_data_eval, run_experiment, substream,
                                write_records_csv)
+
+CEMS_PATH = pathlib.Path(__file__).resolve().parent.parent / "data" / "cems_synthetic.csv"
 
 
 class TestEpsTokens:
@@ -79,6 +82,25 @@ class TestConfig:
         # a preset plus a grid key is read as an explicit grid
         with pytest.raises(ValueError, match="regime, n_values, epsilon_values"):
             ExperimentConfig.from_json(json.dumps({"preset": "exp1", "L": 2}))
+
+    def test_from_json_rejects_scalar_n_values(self):
+        with pytest.raises(ValueError, match="'n_values' must be a JSON array"):
+            ExperimentConfig.from_json(json.dumps({
+                "regime": "edge", "n_values": 10, "p_values": [1.0],
+                "epsilon_values": ["1"]}))
+
+    def test_from_json_rejects_string_epsilon_values(self):
+        with pytest.raises(ValueError, match="'epsilon_values' must be a JSON array"):
+            ExperimentConfig.from_json(json.dumps({
+                "regime": "edge", "n_values": [10], "p_values": [1.0],
+                "epsilon_values": "0.5"}))
+
+    def test_from_json_rejects_string_trials(self):
+        grid = {"regime": "edge", "n_values": [10], "p_values": [1.0],
+                "epsilon_values": ["1"]}
+        for raw in ({**grid, "trials": "3"}, {"preset": "exp1", "trials": "3"}):
+            with pytest.raises(ValueError, match="'trials' must be a JSON integer"):
+                ExperimentConfig.from_json(json.dumps(raw))
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
@@ -159,19 +181,20 @@ u2,paris,milan,paris
 
 
 class TestIngest:
-    def test_individual_round_trip(self, tmp_path):
-        data = make_cems_like(seed=1, m=10, n=4)
-        path = tmp_path / "cems.csv"
-        write_individual_csv(data, path)
-        back = ingest(path, mode="individual")
-        assert (back.n, back.m, back.L) == (data.n, data.m, data.L)
-        assert np.array_equal(back.i, data.i)
-        assert np.array_equal(back.j, data.j)
-        assert np.array_equal(back.y, data.y)
-        # second round trip is byte-identical
-        path2 = tmp_path / "cems2.csv"
-        write_individual_csv(back, path2)
-        assert path.read_bytes() == path2.read_bytes()
+    def test_bundled_csv_matches_reader(self):
+        # an independent parse: users in file order, items by first appearance
+        with open(CEMS_PATH, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        items = list(dict.fromkeys(name for row in rows for name in row[1:3]))
+        index = {name: t for t, name in enumerate(items)}
+        pairs = [sorted((index[a], index[b])) for _, a, b, _ in rows]
+        data = ingest(CEMS_PATH, mode="individual")
+        assert (data.n, data.m, data.L) == (6, 303, 15)
+        assert data.items == tuple(items)
+        assert np.array_equal(data.i, [lo for lo, _ in pairs])
+        assert np.array_equal(data.j, [hi for _, hi in pairs])
+        assert np.array_equal(data.y, [int(index[row[3]] == lo)
+                                       for (lo, _), row in zip(pairs, rows)])
 
     def test_items_by_first_appearance(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -227,19 +250,22 @@ class TestIngest:
 
 class TestRealDataEval:
     def test_cems_shape(self):
-        data = make_cems_like()
+        # every user compares each of the C(6, 2) = 15 pairs exactly once
+        data = ingest(CEMS_PATH, mode="individual")
         assert (data.n, data.m, data.L) == (6, 303, 15)
+        keys = (data.i * data.n + data.j).reshape(data.m, data.L)
+        assert all(len(set(row)) == 15 for row in keys.tolist())
 
     def test_noiseless_rank_diff_zero(self):
-        data = make_cems_like(seed=2, m=30, n=5)
+        data = ingest(CEMS_PATH, mode="individual")
         records = real_data_eval(data, [math.inf], trials=2, seed=0)
         np_rows = [r for r in records if r.algorithm == "nonparametric"]
         assert all(r.value == 0.0 for r in np_rows)
 
     def test_values_within_bound(self):
-        data = make_cems_like(seed=3, m=20, n=4)
+        data = ingest(CEMS_PATH, mode="individual")
         records = real_data_eval(data, [0.5, math.inf], trials=3, seed=1)
-        bound = max_mean_rank_diff(4)
+        bound = max_mean_rank_diff(6)
         assert all(0.0 <= r.value <= bound for r in records)
 
     def test_max_bound_formula(self):

@@ -17,7 +17,8 @@ LINK = logistic_link()
 
 class TestCalibrateEdge:
     def test_paper_scale_example(self):
-        calib = calibrate_edge(1.0, 300, 1.0, LINK)
+        with pytest.warns(UserWarning, match="noise scale"):
+            calib = calibrate_edge(1.0, 300, 1.0, LINK)
         assert calib.lam == 8.0
         assert calib.gamma == pytest.approx(228.0)
         assert calib.floor_binding
@@ -73,8 +74,9 @@ class TestCalibrateIndividual:
         assert not calib.floor_binding
 
     def test_L_one_matches_edge_lambda(self):
-        assert calibrate_individual(2.0, 10, 5, 1, LINK).lam == \
-            calibrate_edge(2.0, 10, 1.0, LINK).lam
+        with pytest.warns(UserWarning, match="noise scale"):
+            assert calibrate_individual(2.0, 10, 5, 1, LINK).lam == \
+                calibrate_edge(2.0, 10, 1.0, LINK).lam
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -147,7 +149,8 @@ class TestEstimate:
         rng = np.random.default_rng(9)
         pm = ProbMatrix(n=10, upper=rng.random(45))
         data = sample_edge_outcomes(sample_er_graph(10, 1.0, seed=3), pm, seed=4)
-        calib = calibrate_edge(1.0, 10, 1.0, LINK)
+        with pytest.warns(UserWarning, match="noise scale"):
+            calib = calibrate_edge(1.0, 10, 1.0, LINK)
         theta, info = estimate_full(data, calib, LINK, seed=7)
         assert info.converged
         assert info.grad_sup_norm <= default_solver_config(calib.gamma).tol
@@ -168,7 +171,8 @@ class TestEstimate:
 
     def test_perturbation_reproducible(self):
         data = _single_edge_dataset()
-        calib = calibrate_edge(1.0, 2, 1.0, LINK)
+        with pytest.warns(UserWarning, match="noise scale"):
+            calib = calibrate_edge(1.0, 2, 1.0, LINK)
         t1 = estimate(data, calib, LINK, seed=77)
         t2 = estimate(data, calib, LINK, seed=77)
         assert np.array_equal(t1, t2)
