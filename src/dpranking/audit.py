@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import noise_scale, win_counts
-from .data import ComparisonGraph, EdgeDataset, IndividualDataset, pair_arrays, rng_from
+from .data import ComparisonGraph, EdgeDataset, IndividualDataset, pair_arrays
 from .metrics import descending_order
 
 MIN_EPSILON_SAMPLES = 100_000
@@ -70,7 +70,7 @@ def enumerate_adjacent(data: EdgeDataset, budget: int, seed=None) -> list[Adjace
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     n = data.n
     g = data.graph
     pairs: list[AdjacentPair] = []
@@ -112,7 +112,7 @@ def replace_user(data: IndividualDataset, user: int, seed=None,
     if not 0 <= user < data.m:
         raise ValueError("user out of range")
     if records is None:
-        rng = rng_from(seed)
+        rng = np.random.default_rng(seed)
         iu, ju = pair_arrays(data.n)
         idx = rng.integers(0, len(iu), size=data.L)
         records = (iu[idx], ju[idx], (rng.random(data.L) < 0.5).astype(np.int8))
@@ -126,7 +126,7 @@ def replace_user(data: IndividualDataset, user: int, seed=None,
 def user_replacement_pairs(data: IndividualDataset, count: int, seed=None
                            ) -> list[AdjacentPair]:
     """Random user-replacement adjacent pairs for the individual regime."""
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(count):
         user = int(rng.integers(0, data.m))
@@ -219,19 +219,20 @@ def estimate_epsilon(mechanism: CountTopKMechanism, pair: AdjacentPair,
     """
     if samples < MIN_EPSILON_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_EPSILON_SAMPLES}")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     masks_a = mechanism.output_masks(pair.base, samples, rng)
     masks_b = mechanism.output_masks(pair.variant, samples, rng)
+    sets_a, counts_a = np.unique(masks_a, return_counts=True)
+    sets_b, counts_b = np.unique(masks_b, return_counts=True)
 
     if math.isinf(mechanism.epsilon):
-        differs = not np.array_equal(np.unique(masks_a), np.unique(masks_b))
+        differs = not np.array_equal(sets_a, sets_b)
         return EpsilonEstimate(epsilon_hat=math.inf if differs else 0.0,
                                epsilon_declared=math.inf, samples=samples,
                                conclusive=True, nonprivate_flag=True)
 
-    all_masks = np.union1d(np.unique(masks_a), np.unique(masks_b))
-    counts_a = np.array([(masks_a == mk).sum() for mk in all_masks], dtype=float)
-    counts_b = np.array([(masks_b == mk).sum() for mk in all_masks], dtype=float)
+    _, in_a, in_b = np.intersect1d(sets_a, sets_b, return_indices=True)
+    counts_a, counts_b = counts_a[in_a], counts_b[in_b]
     ok = (counts_a >= COUNT_FLOOR) & (counts_b >= COUNT_FLOOR)
     if not np.any(ok):
         return EpsilonEstimate(epsilon_hat=math.nan,

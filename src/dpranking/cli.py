@@ -27,6 +27,12 @@ def _default_seed(args_seed):
     return int(os.environ.get(SEED_ENV, "0"))
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def _cmd_simulate(args):
     with open(args.config, encoding="utf-8") as fh:
         cfg = ExperimentConfig.from_json(fh.read())
@@ -138,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run an experiment config and emit CSV")
     p.add_argument("--config", required=True, help="experiment config JSON file")
     p.add_argument("--out", help="output CSV path (overrides config)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="perturbed MLE on an ingested dataset")
@@ -146,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["edge", "individual"], required=True)
     p.add_argument("--epsilon", required=True, help="positive value or 'inf'")
     p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_positive_int)
     p.add_argument("--l-policy", choices=["strict", "pad-skip"], default="strict")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)
@@ -155,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=["edge", "individual"], required=True)
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--l-policy", choices=["strict", "pad-skip"], default="strict")
     p.set_defaults(func=_cmd_rank)

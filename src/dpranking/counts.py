@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .data import EdgeDataset, IndividualDataset, rng_from
+from .data import EdgeDataset, IndividualDataset
 from .metrics import descending_order
 
 __all__ = ["win_counts", "noise_scale", "noisy_counts", "noisy_topk", "noisy_full_ranking"]
@@ -55,7 +55,7 @@ def noisy_counts(counts: np.ndarray, epsilon: float, regime: str,
     scale = noise_scale(epsilon, regime, L)
     if scale == 0.0:
         return counts.copy()
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     return counts + rng.laplace(scale=scale, size=len(counts))
 
 

@@ -13,11 +13,6 @@ import numpy as np
 
 from .links import LinkFunction
 
-def rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
@@ -134,7 +129,7 @@ def sample_er_graph(n: int, p: float, seed=None) -> ComparisonGraph:
         raise ValueError("n must be >= 2")
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     iu, ju = pair_arrays(n)
     keep = rng.random(len(iu)) < p
     return ComparisonGraph(n=n, i=iu[keep], j=ju[keep], p=p)
@@ -152,7 +147,7 @@ def sample_edge_outcomes(graph: ComparisonGraph, rho: ProbMatrix, seed=None) -> 
     """Independent Bernoulli(rho_ij) outcome per edge."""
     if graph.n != rho.n:
         raise ValueError("graph and rho sizes differ")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     i, j = graph.i.astype(np.int64, copy=False), graph.j.astype(np.int64, copy=False)
     # row-major position of (i, j) in the packed strict upper triangle
     probs = rho.upper[i * (2 * graph.n - i - 1) // 2 + (j - i - 1)]
@@ -168,7 +163,7 @@ def sample_individual(n: int, m: int, L: int, rho: ProbMatrix, seed=None) -> Ind
         raise ValueError("m and L must be >= 1")
     if rho.n != n:
         raise ValueError("rho size differs from n")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     iu, ju = pair_arrays(n)
     idx = rng.integers(0, len(iu), size=m * L)
     i, j = iu[idx], ju[idx]
@@ -186,7 +181,7 @@ def generate_theta(n: int, k: int, seed=None, top_inclusive: bool = False) -> np
     """
     if not 1 <= k <= n:
         raise ValueError("k must lie in [1, n]")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     top = k if top_inclusive else k - 1
     theta = np.zeros(n)
     theta[top:] = np.log(rng.uniform(0.2, 0.7, size=n - top))

@@ -73,20 +73,25 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        for key, kind in (("n_values", list), ("epsilon_values", list), ("p_values", list),
-                          ("m_values", list), ("L", int), ("trials", int),
-                          ("master_seed", int)):
-            if key in raw and (not isinstance(raw[key], kind) or isinstance(raw[key], bool)):
-                raise ValueError(f"config key {key!r} must be a JSON "
-                                 f"{'array' if kind is list else 'integer'}")
+        for key, kind in (("n_values", int), ("m_values", int), ("p_values", (int, float)),
+                          ("epsilon_values", (int, float, str))):
+            if key in raw and not (isinstance(raw[key], list) and all(
+                    isinstance(v, kind) and not isinstance(v, bool) for v in raw[key])):
+                raise ValueError(f"config key {key!r} must be a JSON array of "
+                                 f"{'integers' if kind is int else 'numbers'}")
+        for key in ("L", "trials", "master_seed"):
+            if key in raw and (not isinstance(raw[key], int) or isinstance(raw[key], bool)):
+                raise ValueError(f"config key {key!r} must be a JSON integer")
         if "preset" in raw and set(raw) <= {"preset", "trials", "master_seed", "output_path"}:
             return replace(preset_config(raw.pop("preset")), **raw)
         missing = [f.name for f in fields(cls)
                    if f.default is MISSING and f.name not in raw and f.name != "preset"]
         if missing:
             raise ValueError(f"missing config key(s): {', '.join(missing)}")
-        if "epsilon_values" in raw:
+        try:
             raw["epsilon_values"] = [parse_eps(str(e)) for e in raw["epsilon_values"]]
+        except ValueError:
+            raise ValueError("config key 'epsilon_values' must hold numbers or 'inf'") from None
         return cls(**{"preset": "custom",
                       **{k: tuple(v) if isinstance(v, list) else v
                          for k, v in raw.items()}})
@@ -188,8 +193,7 @@ def _trial_records(cfg: ExperimentConfig, n: int, p, m, eps: float,
                 for name, val in values.items()]
 
     wins = counts_mod.win_counts(dataset)
-    np_L = cfg.L if cfg.regime == "individual" else 1
-    est_set = counts_mod.noisy_topk(wins, k, eps, cfg.regime, L=np_L, seed=rng)
+    est_set = counts_mod.noisy_topk(wins, k, eps, cfg.regime, L=L or 1, seed=rng)
     values = {
         "topk_overlap_loss": metrics_mod.topk_overlap_loss(est_set, true_set, k),
         "hamming": float(metrics_mod.hamming_sets(est_set, true_set)),

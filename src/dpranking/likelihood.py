@@ -120,3 +120,11 @@ def hessian(theta: np.ndarray, spec: ObjectiveSpec) -> np.ndarray:
     np.subtract.at(H, (spec.j, spec.i), c)
     H += spec.gamma * np.eye(spec.n)
     return H
+
+
+def smoothness(spec: ObjectiveSpec) -> float:
+    """L >= the objective Hessian's largest eigenvalue at every theta, since each
+    pair's curvature F(t)F(-t) is at most 1/4 and by Gershgorin a weighted
+    Laplacian's largest eigenvalue is at most twice its largest weighted degree."""
+    degree = np.bincount(spec.i, spec.M, spec.n) + np.bincount(spec.j, spec.M, spec.n)
+    return 0.5 * float(np.max(degree, initial=0.0)) + spec.gamma

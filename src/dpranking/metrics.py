@@ -83,12 +83,8 @@ def mean_abs_rank_diff(ranking_a, ranking_b) -> float:
     ranking_b = np.asarray(ranking_b)
     if ranking_a.shape != ranking_b.shape:
         raise ValueError("rankings must have equal length")
-    n = len(ranking_a)
-    pos_a = np.empty(n, dtype=np.int64)
-    pos_b = np.empty(n, dtype=np.int64)
-    pos_a[ranking_a] = np.arange(n)
-    pos_b[ranking_b] = np.arange(n)
-    return float(np.mean(np.abs(pos_a - pos_b)))
+    # argsort inverts a permutation: item -> its position
+    return float(np.mean(np.abs(np.argsort(ranking_a) - np.argsort(ranking_b))))
 
 
 def separation_threshold(regime: str, n: int, epsilon: float,

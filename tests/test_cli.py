@@ -51,6 +51,26 @@ def test_estimate_seed_env_default(cems_path, capsys, monkeypatch):
     assert third["theta"] != first["theta"]
 
 
+def test_estimate_rejects_zero_k(cems_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--data", cems_path, "--mode", "individual",
+              "--epsilon", "inf", "--k", "0"])
+    assert exc.value.code != 0
+    assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_nonpositive_workers(tmp_path, capsys, workers):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "regime": "edge", "n_values": [10], "p_values": [1.0],
+        "epsilon_values": ["inf"], "trials": 1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), "--workers", workers])
+    assert exc.value.code != 0
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_edge_mode_keeps_item_names(tmp_path, capsys):
     path = tmp_path / "edge.csv"
     path.write_text("user_id,item_a,item_b,winner\n"

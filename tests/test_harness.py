@@ -102,6 +102,30 @@ class TestConfig:
             with pytest.raises(ValueError, match="'trials' must be a JSON integer"):
                 ExperimentConfig.from_json(json.dumps(raw))
 
+    def test_from_json_rejects_string_n_value(self):
+        with pytest.raises(ValueError, match="'n_values' must be a JSON array of integers"):
+            ExperimentConfig.from_json(json.dumps({
+                "regime": "edge", "n_values": ["10"], "p_values": [1.0],
+                "epsilon_values": ["1"]}))
+
+    def test_from_json_rejects_fractional_m_value(self):
+        with pytest.raises(ValueError, match="'m_values' must be a JSON array of integers"):
+            ExperimentConfig.from_json(json.dumps({
+                "regime": "individual", "n_values": [8], "m_values": [2.5],
+                "L": 2, "epsilon_values": ["1"]}))
+
+    def test_from_json_rejects_string_p_value(self):
+        with pytest.raises(ValueError, match="'p_values' must be a JSON array of numbers"):
+            ExperimentConfig.from_json(json.dumps({
+                "regime": "edge", "n_values": [10], "p_values": ["1"],
+                "epsilon_values": ["1"]}))
+
+    def test_from_json_rejects_unreadable_epsilon_value(self):
+        with pytest.raises(ValueError, match="'epsilon_values' must hold numbers"):
+            ExperimentConfig.from_json(json.dumps({
+                "regime": "edge", "n_values": [10], "p_values": [1.0],
+                "epsilon_values": ["one"]}))
+
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             ExperimentConfig(preset="custom", regime="edge", n_values=(10,),

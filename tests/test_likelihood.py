@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dpranking.data import (IndividualDataset, ProbMatrix, sample_edge_outcomes,
                             sample_er_graph, sample_individual)
 from dpranking.likelihood import (ObjectiveSpec, aggregate, grad, hessian, nll,
-                                  objective)
+                                  objective, smoothness)
 from dpranking.links import logistic_link
 
 LINK = logistic_link()
@@ -178,6 +178,27 @@ class TestHessian:
                              M=np.array([1.0]), ybar=np.array([1.0]), link=LINK)
         with pytest.raises(ValueError, match="dense Hessian"):
             hessian(np.zeros(3000), spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 25), individual=st.booleans(),
+       gamma=st.sampled_from([0.0, 0.5, 5.0]), at_zero=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_smoothness_bounds_hessian(n, individual, gamma, at_zero, seed):
+    # the solver's fixed step 1/L is safe only if L bounds the curvature everywhere
+    rng = np.random.default_rng(seed)
+    pm = ProbMatrix(n=n, upper=rng.random(n * (n - 1) // 2))
+    if individual:
+        data = sample_individual(n, int(rng.integers(1, 26)), int(rng.integers(1, 3)),
+                                 pm, seed=rng)
+        spec = ObjectiveSpec.from_individual(data, LINK, gamma=gamma)
+    else:
+        data = sample_edge_outcomes(sample_er_graph(n, rng.uniform(0.1, 1.0), seed=rng),
+                                    pm, seed=rng)
+        spec = ObjectiveSpec.from_edge(data, LINK, gamma=gamma)
+    theta = np.zeros(n) if at_zero else rng.uniform(-5, 5, size=n)
+    L = smoothness(spec)
+    assert L >= np.linalg.eigvalsh(hessian(theta, spec))[-1] - 1e-9 * L
 
 
 @settings(max_examples=25, deadline=None)

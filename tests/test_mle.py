@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dpranking.data import (ProbMatrix, sample_edge_outcomes, sample_er_graph,
                             sample_individual)
-from dpranking.likelihood import ObjectiveSpec, grad, objective
+from dpranking.likelihood import ObjectiveSpec, grad, smoothness
 from dpranking.links import logistic_link
 from dpranking.mle import (PrivacyCalibration, calibrate_edge,
                            calibrate_individual, default_solver_config,
@@ -141,9 +142,32 @@ class TestEstimate:
                              ybar=np.array([0.5, 0.5, 0.5]), link=LINK,
                              gamma=1.0, w=np.zeros(3))
         cfg = default_solver_config(1.0)
-        theta, info = minimize(lambda t: objective(t, spec),
-                               lambda t: grad(t, spec), np.zeros(3), cfg)
+        theta, info = minimize(lambda t: grad(t, spec), np.zeros(3),
+                               1.0 / smoothness(spec), cfg)
         assert np.max(np.abs(theta)) <= cfg.tol
+
+    def test_solve_uses_gradient_only(self, monkeypatch):
+        import dpranking.mle as mle_module
+        log_evals, grads = [], []
+
+        def counted_log_eval(t):
+            log_evals.append(np.size(t))
+            return LINK.log_eval(t)
+
+        def counted_grad(theta, spec):
+            grads.append(1)
+            return grad(theta, spec)
+
+        monkeypatch.setattr(mle_module, "grad", counted_grad)
+        link = replace(LINK, log_eval=counted_log_eval)
+        rng = np.random.default_rng(21)
+        pm = ProbMatrix(n=10, upper=rng.random(45))
+        data = sample_edge_outcomes(sample_er_graph(10, 1.0, seed=3), pm, seed=4)
+        calib = calibrate_edge(math.inf, 10, 1.0, LINK)
+        _, info = estimate_full(data, calib, link, seed=0)
+        assert info.converged and info.iterations > 0
+        assert log_evals == []
+        assert len(grads) == info.iterations + 1
 
     def test_stationarity_posthoc(self):
         rng = np.random.default_rng(9)
@@ -183,8 +207,7 @@ class TestSolver:
         A = np.diag([1.0, 10.0, 100.0])
         b = np.array([1.0, -2.0, 3.0])
         cfg = SolverConfig(tol=1e-10)
-        x, info = minimize(lambda x: 0.5 * x @ A @ x - b @ x,
-                           lambda x: A @ x - b, np.zeros(3), cfg)
+        x, info = minimize(lambda x: A @ x - b, np.zeros(3), 1.0 / 100, cfg)
         assert info.converged
         assert np.allclose(x, np.linalg.solve(A, b), atol=1e-8)
 
@@ -193,8 +216,7 @@ class TestSolver:
         b = np.ones(2)
         cfg = SolverConfig(tol=1e-12, max_iters=1)
         with pytest.raises(ConvergenceError) as exc:
-            minimize(lambda x: 0.5 * x @ A @ x - b @ x,
-                     lambda x: A @ x - b, np.zeros(2), cfg)
+            minimize(lambda x: A @ x - b, np.zeros(2), 1.0 / 100, cfg)
         assert exc.value.theta.shape == (2,)
         assert exc.value.info.grad_sup_norm > 0
 
