@@ -27,10 +27,24 @@ def _default_seed(args_seed):
     return int(os.environ.get(SEED_ENV, "0"))
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return int(text)
+def _int_at_least(low: int):
+    """An argparse type for integers >= low, so a bad value exits 2 naming its flag."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
+def _epsilon(text: str) -> float:
+    try:
+        return parse_eps(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _epsilons(text: str) -> list[float]:
+    return [_epsilon(tok) for tok in text.split(",")]
 
 
 def _cmd_simulate(args):
@@ -49,18 +63,17 @@ def _cmd_simulate(args):
 
 def _cmd_estimate(args):
     link = get_link("logistic")
-    data = ingest(args.data, mode=args.mode, L_policy=args.l_policy)
-    eps = parse_eps(args.epsilon)
+    data = ingest(args.data, mode=args.mode)
     if args.mode == "edge":
-        calib = calibrate_edge(eps, data.n, data.graph.p, link)
+        calib = calibrate_edge(args.epsilon, data.n, data.graph.p, link)
     else:
-        calib = calibrate_individual(eps, data.n, data.m, data.L, link)
+        calib = calibrate_individual(args.epsilon, data.n, data.m, data.L, link)
     seed = _default_seed(args.seed)
     theta, info = estimate_full(data, calib, link, seed=seed)
     k = args.k or max(1, data.n // 4)
     names = data.item_names()
     out = {
-        "epsilon": eps_token(eps),
+        "epsilon": eps_token(args.epsilon),
         "theta": {names[i]: float(theta[i]) for i in range(data.n)},
         "ranking": [names[i] for i in descending_order(theta)],
         "top_k": sorted(names[i] for i in rank_from_scores(theta, k)),
@@ -83,20 +96,18 @@ def _cmd_estimate(args):
 
 
 def _cmd_rank(args):
-    data = ingest(args.data, mode=args.mode, L_policy=args.l_policy)
-    eps = parse_eps(args.epsilon)
+    data = ingest(args.data, mode=args.mode)
     wins = counts_mod.win_counts(data)
     L = data.L if args.mode == "individual" else 1
     seed = _default_seed(args.seed)
-    top = counts_mod.noisy_topk(wins, args.k, eps, args.mode, L=L, seed=seed)
+    top = counts_mod.noisy_topk(wins, args.k, args.epsilon, args.mode, L=L, seed=seed)
     names = data.item_names()
-    print(json.dumps({"epsilon": eps_token(eps), "k": args.k,
+    print(json.dumps({"epsilon": eps_token(args.epsilon), "k": args.k,
                       "top_k": sorted(names[i] for i in top)}, indent=2))
     return 0
 
 
 def _cmd_audit(args):
-    eps = parse_eps(args.epsilon)
     seed = _default_seed(args.seed)
     rng = np.random.default_rng(seed)
     link = get_link("logistic")
@@ -113,7 +124,8 @@ def _cmd_audit(args):
         base = sample_individual(n, 50, L, rho, seed=rng)
         pair = audit_mod.extremal_user_pair(base, k)
     sens = audit_mod.sensitivity_check([pair])
-    mechanism = audit_mod.CountTopKMechanism(k=k, epsilon=eps, regime=args.mode, L=L)
+    mechanism = audit_mod.CountTopKMechanism(k=k, epsilon=args.epsilon, regime=args.mode,
+                                             L=L)
     est = audit_mod.estimate_epsilon(mechanism, pair, args.samples, seed=rng)
     print(json.dumps({
         "mode": args.mode,
@@ -127,10 +139,9 @@ def _cmd_audit(args):
 
 
 def _cmd_ingest_rank(args):
-    data = ingest(args.data, mode="individual", L_policy=args.l_policy)
-    epsilons = [parse_eps(tok) for tok in args.epsilons.split(",")]
+    data = ingest(args.data, mode="individual")
     seed = _default_seed(args.seed)
-    records = real_data_eval(data, epsilons, trials=args.trials, seed=seed)
+    records = real_data_eval(data, args.epsilons, trials=args.trials, seed=seed)
     write_records_csv(records, args.out or "/dev/stdout")
     return 0
 
@@ -144,41 +155,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run an experiment config and emit CSV")
     p.add_argument("--config", required=True, help="experiment config JSON file")
     p.add_argument("--out", help="output CSV path (overrides config)")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="perturbed MLE on an ingested dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=["edge", "individual"], required=True)
-    p.add_argument("--epsilon", required=True, help="positive value or 'inf'")
+    p.add_argument("--epsilon", type=_epsilon, required=True,
+                   help="positive value or 'inf'")
     p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=_positive_int)
-    p.add_argument("--l-policy", choices=["strict", "pad-skip"], default="strict")
+    p.add_argument("--k", type=_int_at_least(1))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("rank", help="noisy-count top-k on an ingested dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=["edge", "individual"], required=True)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--l-policy", choices=["strict", "pad-skip"], default="strict")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("audit", help="sensitivity and empirical-epsilon audit")
     p.add_argument("--mode", choices=["edge", "individual"], required=True)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
+    p.add_argument("--samples", type=_int_at_least(audit_mod.MIN_EPSILON_SAMPLES),
+                   default=1_000_000)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("ingest-rank", help="real-data rank-difference evaluation")
     p.add_argument("--data", required=True)
-    p.add_argument("--epsilons", required=True, help="comma-separated, may include inf")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--epsilons", type=_epsilons, required=True,
+                   help="comma-separated, may include inf")
+    p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--l-policy", choices=["strict", "pad-skip"], default="strict")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ingest_rank)
     return parser

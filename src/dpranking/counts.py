@@ -35,7 +35,7 @@ def win_counts(data: EdgeDataset | IndividualDataset) -> np.ndarray:
 
 def noise_scale(epsilon: float, regime: str, L: int = 1) -> float:
     """Laplace scale: 2/eps for edge DP, 2L/eps for individual DP; 0 at eps=inf."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if math.isinf(epsilon):
         return 0.0

@@ -40,7 +40,11 @@ def eps_token(x: float) -> str:
 
 
 def parse_eps(token: str) -> float:
-    return math.inf if token.strip().lower() in ("inf", "infinity") else float(token)
+    """Read an epsilon token: a positive number, or "inf" for the non-private sentinel."""
+    eps = float(token)  # float reads "inf" and "Infinity" in any case
+    if not eps > 0:
+        raise ValueError(f"epsilon must be positive or 'inf', got {token!r}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,8 @@ class ExperimentConfig:
         try:
             raw["epsilon_values"] = [parse_eps(str(e)) for e in raw["epsilon_values"]]
         except ValueError:
-            raise ValueError("config key 'epsilon_values' must hold numbers or 'inf'") from None
+            raise ValueError("config key 'epsilon_values' must hold numbers > 0 "
+                             "or 'inf'") from None
         return cls(**{"preset": "custom",
                       **{k: tuple(v) if isinstance(v, list) else v
                          for k, v in raw.items()}})
@@ -281,19 +286,16 @@ def _read_rows(path: str):
             yield lineno, row["user_id"], a, b, w
 
 
-def ingest(path: str, mode: str, L_policy: str = "strict"
-           ) -> EdgeDataset | IndividualDataset:
+def ingest(path: str, mode: str) -> EdgeDataset | IndividualDataset:
     """Read a raw comparison CSV into a dataset.
 
     Item names map to 0-based indices by first appearance. Individual mode
-    groups rows by user; ``strict`` requires a common L, ``pad-skip`` keeps
-    only users matching the modal record count and warns about the rest.
-    Edge mode admits at most one comparison per unordered pair.
+    groups rows by user and requires every user to hold the modal record
+    count L; a user who does not is a ParseError that names them. Edge mode
+    admits at most one comparison per unordered pair.
     """
     if mode not in ("edge", "individual"):
         raise ValueError("mode must be 'edge' or 'individual'")
-    if L_policy not in ("strict", "pad-skip"):
-        raise ValueError("L_policy must be 'strict' or 'pad-skip'")
 
     index: dict[str, int] = {}
     users: dict[str, list[tuple[int, int, int]]] = {}
@@ -309,9 +311,12 @@ def ingest(path: str, mode: str, L_policy: str = "strict"
         raise ParseError(f"{path}: no data rows")
     n = len(index)
     items = tuple(sorted(index, key=index.get))
+    recs = [r for rows in users.values() for r in rows]
+    i = np.array([r[0] for r in recs], dtype=np.int64)
+    j = np.array([r[1] for r in recs], dtype=np.int64)
+    y = np.array([r[2] for r in recs], dtype=np.int8)
 
     if mode == "edge":
-        recs = [r for rows in users.values() for r in rows]
         seen = set()
         for lo, hi, _ in recs:
             if (lo, hi) in seen:
@@ -319,29 +324,17 @@ def ingest(path: str, mode: str, L_policy: str = "strict"
                     f"pair ({items[lo]}, {items[hi]}) compared more than once; "
                     "use individual mode")
             seen.add((lo, hi))
-        i = np.array([r[0] for r in recs], dtype=np.int64)
-        j = np.array([r[1] for r in recs], dtype=np.int64)
-        y = np.array([r[2] for r in recs], dtype=np.int8)
         order = np.lexsort((j, i))
         graph = ComparisonGraph(n=n, i=i[order], j=j[order],
                                 p=len(recs) / pair_count(n))
         return EdgeDataset(graph=graph, y=y[order], items=items)
 
-    lengths = {u: len(rows) for u, rows in users.items()}
-    tally = Counter(lengths.values())
+    tally = Counter(len(rows) for rows in users.values())
     L = max(tally, key=lambda c: (tally[c], -c))
-    kept = [u for u in users if lengths[u] == L]
-    dropped = [u for u in users if lengths[u] != L]
-    if dropped and L_policy == "strict":
-        raise ParseError(f"user {dropped[0]!r} has {lengths[dropped[0]]} records, "
-                         f"expected {L}")
-    if dropped:
-        warnings.warn(f"dropped {len(dropped)} user(s) with record count != {L}: "
-                      f"{dropped}", stacklevel=2)
-    i = np.array([r[0] for u in kept for r in users[u]], dtype=np.int64)
-    j = np.array([r[1] for u in kept for r in users[u]], dtype=np.int64)
-    y = np.array([r[2] for u in kept for r in users[u]], dtype=np.int8)
-    return IndividualDataset(n=n, m=len(kept), L=L, i=i, j=j, y=y, items=items)
+    for user, rows in users.items():
+        if len(rows) != L:
+            raise ParseError(f"user {user!r} has {len(rows)} records, expected {L}")
+    return IndividualDataset(n=n, m=len(users), L=L, i=i, j=j, y=y, items=items)
 
 
 # ---------------------------------------------------------------------------

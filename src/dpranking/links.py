@@ -13,7 +13,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, log_expit
+
+
+@np.errstate(over="ignore")  # e^-x is inf below x ~ -709.78, and 1/inf is exactly 0
+def expit(x):
+    """The logistic CDF F(x) = 1/(1 + e^-x)."""
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def log_expit(x):
+    """log F(x) = -log(1 + e^-x), finite at every finite x."""
+    return -np.logaddexp(0.0, -np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -55,12 +65,12 @@ def logistic_link() -> LinkFunction:
 
     return LinkFunction(
         name="logistic",
-        eval=lambda x: expit(np.asarray(x, dtype=float)),
+        eval=expit,
         deriv=fprime,
         neg_log_second=fprime,
         kappa1=1.0,
         kappa2=57.0,
-        log_eval=lambda x: log_expit(np.asarray(x, dtype=float)),
+        log_eval=log_expit,
     )
 
 

@@ -97,7 +97,7 @@ def separation_threshold(regime: str, n: int, epsilon: float,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     logn = math.log(n)
     if regime == "edge":

@@ -48,9 +48,9 @@ class PrivacyCalibration:
     def __post_init__(self):
         if self.regime not in ("edge", "individual"):
             raise ValueError("regime must be 'edge' or 'individual'")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.lam < 0 or self.gamma <= 0:
+        if not (self.lam >= 0 and self.gamma > 0):
             raise ValueError("invalid calibration")
         if self.L < 1:
             raise ValueError("L must be >= 1")
@@ -62,7 +62,7 @@ def calibrate_edge(epsilon: float, n: int, p: float,
 
     epsilon = inf is the non-private sentinel: no noise, utility gamma only.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     utility = DEFAULT_C0 * math.sqrt(n * p * math.log(n)) if n > 1 else DEFAULT_C0
     if math.isinf(epsilon):
@@ -84,7 +84,7 @@ def calibrate_individual(epsilon: float, n: int, m: int, L: int,
 
     The utility value uses the effective per-item comparison count S = 2mL/n.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if L < 1:
         raise ValueError("L must be >= 1")

@@ -71,6 +71,26 @@ def test_simulate_rejects_nonpositive_workers(tmp_path, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["rank", "--mode", "individual", "--k", "2", "--epsilon", "nan"], "--epsilon"),
+    (["estimate", "--mode", "individual", "--epsilon", "nan"], "--epsilon"),
+    (["estimate", "--mode", "individual", "--epsilon", "0"], "--epsilon"),
+    (["estimate", "--mode", "edge", "--epsilon=-inf"], "--epsilon"),
+    (["ingest-rank", "--epsilons", "1,nan", "--trials", "1"], "--epsilons"),
+    (["ingest-rank", "--epsilons", "1", "--trials", "0"], "--trials"),
+    (["ingest-rank", "--epsilons", "1", "--trials", "-2"], "--trials"),
+    (["audit", "--mode", "edge", "--epsilon", "nan"], "--epsilon"),
+    (["audit", "--mode", "edge", "--epsilon", "1", "--samples", "1000"], "--samples"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_bad_value_exits_2_naming_flag(cems_path, capsys, argv, flag):
+    if argv[0] != "audit":
+        argv = argv + ["--data", cems_path]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_edge_mode_keeps_item_names(tmp_path, capsys):
     path = tmp_path / "edge.csv"
     path.write_text("user_id,item_a,item_b,winner\n"

@@ -55,6 +55,10 @@ class TestNoiseScale:
         with pytest.raises(ValueError):
             noise_scale(1.0, "individual", L=0)
 
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            noise_scale(math.nan, "edge")
+
 
 class TestNoisyTopk:
     def test_noiseless_copeland(self):

@@ -126,6 +126,14 @@ class TestConfig:
                 "regime": "edge", "n_values": [10], "p_values": [1.0],
                 "epsilon_values": ["one"]}))
 
+    @pytest.mark.parametrize("value", ["nan", math.nan, 0, "-1"])
+    def test_from_json_rejects_nonpositive_epsilon_value(self, value):
+        # json.dumps writes math.nan as the bare token NaN, which json.loads reads
+        with pytest.raises(ValueError, match="'epsilon_values' must hold numbers > 0"):
+            ExperimentConfig.from_json(json.dumps({
+                "regime": "edge", "n_values": [10], "p_values": [1.0],
+                "epsilon_values": [value]}))
+
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             ExperimentConfig(preset="custom", regime="edge", n_values=(10,),
@@ -231,14 +239,7 @@ class TestIngest:
         path = tmp_path / "raw.csv"
         path.write_text(CEMS_CSV + "u2,london,milan,milan\n")
         with pytest.raises(ParseError, match="u2"):
-            ingest(path, mode="individual", L_policy="strict")
-
-    def test_pad_skip_drops_minority(self, tmp_path):
-        path = tmp_path / "raw.csv"
-        path.write_text(CEMS_CSV + "u3,london,milan,milan\n")
-        with pytest.warns(UserWarning, match="dropped 1"):
-            data = ingest(path, mode="individual", L_policy="pad-skip")
-        assert data.m == 2
+            ingest(path, mode="individual")
 
     def test_edge_mode_duplicate_pair(self, tmp_path):
         path = tmp_path / "raw.csv"

@@ -1,8 +1,18 @@
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dpranking.links import get_link, logistic_link
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +84,44 @@ def test_get_link(link):
     assert get_link("logistic").name == "logistic"
     with pytest.raises(ValueError, match="unknown link"):
         get_link("probit")
+
+
+def test_eval_within_4_ulp_of_libm_formula(link):
+    x = np.linspace(-30, 30, 60001)
+    ref = [1.0 / (1.0 + math.exp(-v)) for v in x]
+    for v, got, want in zip(x, link.eval(x), ref):
+        assert abs(got - want) <= 4 * math.ulp(want), v
+
+
+def test_eval_saturates_exactly_without_warning(link):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(link.eval(np.array([-800.0, 800.0]))) == [0.0, 1.0]
+        assert float(link.eval(-800.0)) == 0.0
+
+
+def test_log_eval_within_1_ulp_of_log1p_form(link):
+    x = np.linspace(-30, 30, 60001)
+    ref = [-math.log1p(math.exp(-v)) if v >= 0 else v - math.log1p(math.exp(v))
+           for v in x]
+    for v, got, want in zip(x, link.log_eval(x), ref):
+        assert abs(got - want) <= math.ulp(want), v
+
+
+def test_package_runs_without_scipy():
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "import dpranking\n"
+        "from dpranking.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "estimate", "--data",
+         str(ROOT / "data" / "cems_synthetic.csv"), "--mode", "individual",
+         "--epsilon", "1", "--seed", "0"],
+        env=env, cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["theta"]) == 6

@@ -133,3 +133,7 @@ class TestSeparationThreshold:
             separation_threshold("individual", 100, 1.0)
         with pytest.raises(ValueError):
             separation_threshold("edge", 100, 0.0, p=1.0)
+
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            separation_threshold("edge", 100, math.nan, p=1.0)

@@ -56,6 +56,10 @@ class TestCalibrateEdge:
         with pytest.raises(ValueError):
             calibrate_edge(0.0, 10, 1.0, LINK)
 
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            calibrate_edge(math.nan, 10, 1.0, LINK)
+
 
 class TestCalibrateIndividual:
     def test_lambda_formula(self):
@@ -85,6 +89,10 @@ class TestCalibrateIndividual:
         with pytest.raises(ValueError):
             calibrate_individual(1.0, 10, 5, 0, LINK)
 
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            calibrate_individual(math.nan, 10, 5, 1, LINK)
+
 
 class TestCalibrationInvariants:
     def test_constructor_rejects_violations(self):
@@ -94,6 +102,12 @@ class TestCalibrationInvariants:
             PrivacyCalibration(epsilon=1.0, lam=0.0, gamma=0.0, regime="edge")
         with pytest.raises(ValueError):
             PrivacyCalibration(epsilon=1.0, lam=0.0, gamma=1.0, regime="both")
+
+    @pytest.mark.parametrize("field", ["epsilon", "gamma"])
+    def test_constructor_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            PrivacyCalibration(**{"epsilon": 1.0, "lam": 0.0, "gamma": 1.0,
+                                  "regime": "edge", field: math.nan})
 
 
 def _single_edge_dataset():
