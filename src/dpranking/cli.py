@@ -48,8 +48,12 @@ def _epsilons(text: str) -> list[float]:
 
 
 def _cmd_simulate(args):
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = ExperimentConfig.from_json(fh.read())
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = ExperimentConfig.from_json(fh.read())
+    except (OSError, ValueError) as exc:  # unreadable file, bad JSON or a bad key
+        print(f"dpranking simulate: error: {args.config}: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         from dataclasses import replace
         cfg = replace(cfg, output_path=args.out)

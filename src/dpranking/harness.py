@@ -69,11 +69,21 @@ class ExperimentConfig:
             raise ValueError("edge regime requires p_values")
         if self.regime == "individual" and not self.m_values:
             raise ValueError("individual regime requires m_values")
+        for key, ok, want in (("n_values", lambda v: v >= 2, "integers >= 2"),
+                              ("m_values", lambda v: v >= 1, "integers >= 1"),
+                              ("p_values", lambda v: 0 < v <= 1, "numbers in (0, 1]")):
+            bad = [v for v in getattr(self, key) if not ok(v)]
+            if bad:
+                raise ValueError(f"config key {key!r} must hold {want}, got {bad[0]!r}")
+        if self.L < 1:
+            raise ValueError(f"config key 'L' must be >= 1, got {self.L!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         """A preset plus run-key overrides, or an explicit grid; unknown keys fail."""
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")

@@ -123,8 +123,16 @@ def hessian(theta: np.ndarray, spec: ObjectiveSpec) -> np.ndarray:
 
 
 def smoothness(spec: ObjectiveSpec) -> float:
-    """L >= the objective Hessian's largest eigenvalue at every theta, since each
-    pair's curvature F(t)F(-t) is at most 1/4 and by Gershgorin a weighted
-    Laplacian's largest eigenvalue is at most twice its largest weighted degree."""
+    """L >= the objective Hessian's largest eigenvalue at every theta.
+
+    Each pair's curvature F(t)F(-t) is at most 1/4, so the Hessian is at most
+    Lap(M)/4 + gamma*I. The weighted Laplacian's largest eigenvalue is at most
+    twice its largest weighted degree (Gershgorin), and at most n*max(M), since
+    max(M)*Lap(K_n) - Lap(M) is a nonnegative sum of pair Laplacians and
+    Lap(K_n) has largest eigenvalue n. The second bound is exact on a complete
+    graph with uniform M at theta = 0; the first is the smaller on sparse graphs.
+    """
     degree = np.bincount(spec.i, spec.M, spec.n) + np.bincount(spec.j, spec.M, spec.n)
-    return 0.5 * float(np.max(degree, initial=0.0)) + spec.gamma
+    lap_max = min(2.0 * float(np.max(degree, initial=0.0)),
+                  spec.n * float(np.max(spec.M, initial=0.0)))
+    return 0.25 * lap_max + spec.gamma

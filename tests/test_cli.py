@@ -71,6 +71,33 @@ def test_simulate_rejects_nonpositive_workers(tmp_path, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"regime": "edge", "n_values": [10], "p_values": [1.0],
+      "epsilon_values": ["inf"], "trail": 1}, "trail"),
+    ({"regime": "edge", "n_values": [1], "p_values": [1.0],
+      "epsilon_values": ["inf"]}, "n_values"),
+], ids=["unknown-key", "n-out-of-range"])
+def test_simulate_bad_config_exits_2_naming_file_and_key(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert str(cfg) in lines[0] and key in lines[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["{\"regime\": ", None], ids=["truncated", "missing"])
+def test_simulate_unreadable_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and str(cfg) in lines[0]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["rank", "--mode", "individual", "--k", "2", "--epsilon", "nan"], "--epsilon"),
     (["estimate", "--mode", "individual", "--epsilon", "nan"], "--epsilon"),

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 import math
 import pathlib
 import warnings
@@ -67,6 +68,11 @@ class TestConfig:
             "epsilon_values": ["1", "inf"], "trials": 2}))
         assert cfg.epsilon_values == (1.0, math.inf)
 
+    @pytest.mark.parametrize("text", ['[1]', '"exp1"', 'null'])
+    def test_from_json_rejects_non_object(self, text):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_json(text)
+
     def test_from_json_rejects_misspelled_key(self):
         with pytest.raises(ValueError, match="trail"):
             ExperimentConfig.from_json(json.dumps({
@@ -133,6 +139,27 @@ class TestConfig:
             ExperimentConfig.from_json(json.dumps({
                 "regime": "edge", "n_values": [10], "p_values": [1.0],
                 "epsilon_values": [value]}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_values", [1]), ("m_values", [0]), ("L", 0),
+        ("p_values", [0.0]), ("p_values", [1.5]),
+    ])
+    def test_from_json_rejects_out_of_range_value(self, key, value):
+        grid = {"edge": {"regime": "edge", "n_values": [10], "p_values": [1.0]},
+                "individual": {"regime": "individual", "n_values": [10],
+                               "m_values": [20], "L": 2}}
+        raw = {**grid["individual" if key in ("m_values", "L") else "edge"],
+               "epsilon_values": ["1"], key: value}
+        with pytest.raises(ValueError, match=f"config key '{key}' must"):
+            ExperimentConfig.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("preset, key, value", [
+        ("exp1", "n_values", (50, 1)), ("exp5", "m_values", (0,)), ("exp5", "L", 0),
+        ("exp2", "p_values", (0.5, 0.0)), ("exp2", "p_values", (1.5,)),
+    ])
+    def test_preset_override_rejects_out_of_range_value(self, preset, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' must"):
+            replace(preset_config(preset), **{key: value})
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):

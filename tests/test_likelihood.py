@@ -201,6 +201,31 @@ def test_smoothness_bounds_hessian(n, individual, gamma, at_zero, seed):
     assert L >= np.linalg.eigvalsh(hessian(theta, spec))[-1] - 1e-9 * L
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 57])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 12.0])
+@pytest.mark.parametrize("c", [None, 1.0, 7.0])
+def test_smoothness_tight_on_complete_graph(n, gamma, c):
+    # on K_n with uniform M the Laplacian bound is exact at theta = 0, where every
+    # pair's curvature is 1/4; c=None is the edge form (M = 1 from the dataset)
+    rng = np.random.default_rng(n)
+    g = sample_er_graph(n, 1.0, seed=rng)
+    if c is None:
+        data = sample_edge_outcomes(g, ProbMatrix(n=n, upper=rng.random(len(g.i))),
+                                    seed=rng)
+        spec = ObjectiveSpec.from_edge(data, LINK, gamma=gamma)
+    else:
+        spec = ObjectiveSpec(n=n, i=g.i, j=g.j, M=np.full(len(g.i), c),
+                             ybar=rng.random(len(g.i)), link=LINK, gamma=gamma)
+    lam_max = np.linalg.eigvalsh(hessian(np.zeros(n), spec))[-1]
+    assert smoothness(spec) == pytest.approx(lam_max, rel=1e-12)
+
+
+def test_smoothness_of_edgeless_spec_is_gamma():
+    spec = ObjectiveSpec(n=4, i=np.array([], dtype=int), j=np.array([], dtype=int),
+                         M=np.array([]), ybar=np.array([]), link=LINK, gamma=3.0)
+    assert smoothness(spec) == 3.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-5, 5), st.integers(0, 2**32 - 1))
 def test_translation_invariance(shift, seed):

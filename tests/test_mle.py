@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpranking.data import (ProbMatrix, sample_edge_outcomes, sample_er_graph,
-                            sample_individual)
+from dpranking.data import (ProbMatrix, generate_theta, rho_from_theta,
+                            sample_edge_outcomes, sample_er_graph, sample_individual)
 from dpranking.likelihood import ObjectiveSpec, grad, smoothness
 from dpranking.links import logistic_link
 from dpranking.mle import (PrivacyCalibration, calibrate_edge,
@@ -182,6 +182,17 @@ class TestEstimate:
         assert info.converged and info.iterations > 0
         assert log_evals == []
         assert len(grads) == info.iterations + 1
+
+    def test_dense_nonprivate_solve_iteration_count(self):
+        # criterion-08-sized trial: the step 1/L with L from the complete graph's
+        # spectrum converges in 16 iterations here; Gershgorin's L takes 46
+        rng = np.random.default_rng(808)
+        theta_star = generate_theta(800, 200, seed=rng, top_inclusive=True)
+        data = sample_edge_outcomes(sample_er_graph(800, 1.0, seed=rng),
+                                    rho_from_theta(theta_star, LINK), seed=rng)
+        calib = calibrate_edge(math.inf, 800, 1.0, LINK)
+        _, info = estimate_full(data, calib, LINK, seed=0)
+        assert info.converged and info.iterations <= 20
 
     def test_stationarity_posthoc(self):
         rng = np.random.default_rng(9)
