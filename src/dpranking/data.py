@@ -13,6 +13,9 @@ import numpy as np
 
 from .links import LinkFunction
 
+# uniforms drawn per call in sample_er_graph; the stream is the same as one call
+_DRAW_CHUNK = 1 << 20
+
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
@@ -21,6 +24,29 @@ def pair_count(n: int) -> int:
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All unordered pairs (i, j) with i < j, 0-based, row-major order."""
     return np.triu_indices(n, k=1)
+
+
+def row_starts(n: int) -> np.ndarray:
+    """Packed position of each row's first pair: i(2n - i - 1)/2 for i in [0, n).
+
+    Pair (i, j) with i < j sits at ``row_starts(n)[i] + j - i - 1``.
+    """
+    i = np.arange(n, dtype=np.int64)
+    return i * (2 * n - i - 1) // 2
+
+
+def _unrank(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) at packed positions ``idx``, in closed form.
+
+    Counted from the end, position k = N - 1 - idx lies in the t-th row from
+    the bottom, t = floor((sqrt(8k + 1) - 1) / 2). While 8k + 1 < 2**53 it
+    converts to float exactly, the square root is exact at row boundaries
+    and rounds below the next one, so t is exact for any triangle that fits
+    in memory.
+    """
+    i = n - 2 - ((np.sqrt(8 * (pair_count(n) - 1 - idx) + 1) - 1) * 0.5).astype(np.int64)
+    # idx = row_starts[i] + j - i - 1
+    return i, idx - (row_starts(n) - np.arange(n) - 1)[i]
 
 
 @dataclass(frozen=True)
@@ -33,16 +59,9 @@ class ProbMatrix:
     def __post_init__(self):
         if self.upper.shape != (pair_count(self.n),):
             raise ValueError("upper triangle has wrong length")
-        if np.any(self.upper < 0) or np.any(self.upper > 1):
+        # written so that NaN fails it
+        if self.upper.size and not (self.upper.min() >= 0 and self.upper.max() <= 1):
             raise ValueError("probabilities must lie in [0, 1]")
-
-    def full(self) -> np.ndarray:
-        """Dense n x n matrix with 1/2 on the diagonal."""
-        rho = np.full((self.n, self.n), 0.5)
-        iu, ju = pair_arrays(self.n)
-        rho[iu, ju] = self.upper
-        rho[ju, iu] = 1.0 - self.upper
-        return rho
 
 
 @dataclass(frozen=True)
@@ -130,17 +149,21 @@ def sample_er_graph(n: int, p: float, seed=None) -> ComparisonGraph:
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    iu, ju = pair_arrays(n)
-    keep = rng.random(len(iu)) < p
-    return ComparisonGraph(n=n, i=iu[keep], j=ju[keep], p=p)
+    total = pair_count(n)
+    i, j = _unrank(n, np.concatenate([
+        start + np.flatnonzero(rng.random(min(_DRAW_CHUNK, total - start)) < p)
+        for start in range(0, total, _DRAW_CHUNK)]))
+    return ComparisonGraph(n=n, i=i, j=j, p=p)
 
 
 def rho_from_theta(theta: np.ndarray, link: LinkFunction) -> ProbMatrix:
     """Parametric probabilities rho[i,j] = F(theta_i - theta_j)."""
     theta = np.asarray(theta, dtype=float)
     n = len(theta)
-    iu, ju = pair_arrays(n)
-    return ProbMatrix(n=n, upper=np.asarray(link.eval(theta[iu] - theta[ju]), dtype=float))
+    diff = np.empty(pair_count(n))
+    for i, start in enumerate(row_starts(n)):
+        diff[start:start + n - i - 1] = theta[i] - theta[i + 1:]
+    return ProbMatrix(n=n, upper=np.asarray(link.eval(diff), dtype=float))
 
 
 def sample_edge_outcomes(graph: ComparisonGraph, rho: ProbMatrix, seed=None) -> EdgeDataset:
@@ -149,8 +172,7 @@ def sample_edge_outcomes(graph: ComparisonGraph, rho: ProbMatrix, seed=None) -> 
         raise ValueError("graph and rho sizes differ")
     rng = np.random.default_rng(seed)
     i, j = graph.i.astype(np.int64, copy=False), graph.j.astype(np.int64, copy=False)
-    # row-major position of (i, j) in the packed strict upper triangle
-    probs = rho.upper[i * (2 * graph.n - i - 1) // 2 + (j - i - 1)]
+    probs = rho.upper[row_starts(graph.n)[i] + j - i - 1]
     y = (rng.random(graph.n_edges) < probs).astype(np.int8)
     return EdgeDataset(graph=graph, y=y)
 
@@ -164,9 +186,8 @@ def sample_individual(n: int, m: int, L: int, rho: ProbMatrix, seed=None) -> Ind
     if rho.n != n:
         raise ValueError("rho size differs from n")
     rng = np.random.default_rng(seed)
-    iu, ju = pair_arrays(n)
-    idx = rng.integers(0, len(iu), size=m * L)
-    i, j = iu[idx], ju[idx]
+    idx = rng.integers(0, pair_count(n), size=m * L)
+    i, j = _unrank(n, idx)
     probs = rho.upper[idx]
     y = (rng.random(m * L) < probs).astype(np.int8)
     return IndividualDataset(n=n, m=m, L=L, i=i, j=j, y=y)

@@ -11,15 +11,46 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import ProbMatrix
+from .data import ProbMatrix, row_starts
 
 LOG_ERROR_FLOOR = -50.0
 
+# dense rows tau builds at a time
+_TAU_ROWS = 32
+
 
 def tau(rho: ProbMatrix) -> np.ndarray:
-    """tau_i = (1/n) sum_j rho_ij, diagonal included."""
-    return rho.full().mean(axis=1)
+    """tau_i = (1/n) sum_j rho_ij, diagonal included.
+
+    Rows of the dense matrix are built a block at a time from the packed
+    triangle, so each row mean sums the same values in the same order as
+    ``dense.mean(axis=1)`` would, and equal rows give equal tau exactly.
+    """
+    n, upper = rho.n, rho.upper
+    starts = row_starts(n)
+    cols = np.arange(n)
+    # rho[r, c] for c < r is 1 - upper[col_base[c] + r]
+    col_base = starts - cols - 1
+    out = np.empty(n)
+    for r0 in range(0, n, _TAU_ROWS):
+        rows = cols[r0:r0 + _TAU_ROWS, None]
+        r1 = r0 + len(rows)
+        block = np.empty((len(rows), n))
+        if r0:
+            # column c < r0 of the block is the packed run starting at col_base[c] + r0
+            windows = sliding_window_view(upper, len(rows))
+            block[:, :r0] = 1.0 - windows[col_base[:r0] + r0].T
+        # the block's upper part is rows r0..r1-1 of the packed triangle, in order
+        above = cols[r0:] > rows
+        block[:, r0:][above] = upper[starts[r0]:starts[r0] + np.count_nonzero(above)]
+        square = block[:, r0:r1]
+        below = cols[r0:r1] < rows
+        square[below] = 1.0 - upper[(col_base[r0:r1] + rows)[below]]
+        square[cols[r0:r1] == rows] = 0.5
+        out[r0:r1] = block.mean(axis=1)
+    return out
 
 
 def descending_order(scores) -> np.ndarray:

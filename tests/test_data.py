@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpranking.data import (ComparisonGraph, IndividualDataset, ProbMatrix,
-                            generate_theta, pair_arrays, pair_count,
-                            rho_from_theta, sample_edge_outcomes,
+from dpranking.data import (_DRAW_CHUNK, ComparisonGraph, IndividualDataset,
+                            ProbMatrix, _unrank, generate_theta, pair_arrays,
+                            pair_count, rho_from_theta, sample_edge_outcomes,
                             sample_er_graph, sample_individual, two_block_rho)
 from dpranking.links import logistic_link
+from dpranking.metrics import tau
 
 
 @pytest.fixture(scope="module")
@@ -14,19 +17,88 @@ def link():
     return logistic_link()
 
 
-class TestProbMatrix:
-    def test_full_is_skew_symmetric(self):
-        rng = np.random.default_rng(0)
-        pm = ProbMatrix(n=5, upper=rng.random(10))
-        full = pm.full()
-        assert np.array_equal(full + full.T, np.ones((5, 5)))
-        assert np.all(np.diag(full) == 0.5)
+def dense(pm: ProbMatrix) -> np.ndarray:
+    """The n x n matrix with 1/2 on the diagonal, built from pair_arrays."""
+    rho = np.full((pm.n, pm.n), 0.5)
+    iu, ju = pair_arrays(pm.n)
+    rho[iu, ju] = pm.upper
+    rho[ju, iu] = 1.0 - pm.upper
+    return rho
 
+
+class TestProbMatrix:
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError):
             ProbMatrix(n=4, upper=np.zeros(5))
         with pytest.raises(ValueError):
             ProbMatrix(n=3, upper=np.array([0.5, 1.2, 0.5]))
+
+    def test_rejects_nan(self, link):
+        with pytest.raises(ValueError, match="probabilities"):
+            ProbMatrix(n=2, upper=np.array([np.nan]))
+        with pytest.raises(ValueError, match="probabilities"):
+            rho_from_theta(np.array([0.0, np.nan, 1.0]), link)
+
+
+class TestPackedPaths:
+    """The packed-triangle paths against references built from pair_arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1))
+    def test_tau_is_dense_row_mean(self, n, seed):
+        pm = ProbMatrix(n=n, upper=np.random.default_rng(seed).random(pair_count(n)))
+        assert np.array_equal(tau(pm), dense(pm).mean(axis=1))
+
+    def test_tau_peak_memory_is_below_a_quarter_of_dense(self):
+        n = 2000
+        pm = ProbMatrix(n=n, upper=np.random.default_rng(0).random(pair_count(n)))
+        tracemalloc.start()
+        try:
+            tau(pm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+    def test_rho_from_theta_matches_pair_gather(self, link, n, seed):
+        theta = np.random.default_rng(seed).normal(scale=3.0, size=n)
+        iu, ju = pair_arrays(n)
+        expected = link.eval(theta[iu] - theta[ju])
+        assert np.array_equal(rho_from_theta(theta, link).upper, expected)
+
+    @pytest.mark.parametrize("n, p", [(2, 1.0), (7, 0.5), (60, 0.05), (200, 0.3),
+                                      (1500, 0.01), (1500, 1.0)])
+    def test_er_graph_matches_one_draw(self, n, p):
+        # n=1500 draws its uniforms in more than one chunk
+        assert pair_count(1500) > _DRAW_CHUNK
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        g = sample_er_graph(n, p, seed=rng)
+        iu, ju = pair_arrays(n)
+        keep = ref.random(len(iu)) < p
+        assert np.array_equal(g.i, iu[keep]) and np.array_equal(g.j, ju[keep])
+        assert g.i.dtype == iu.dtype and g.j.dtype == ju.dtype
+        # the generator is left where one rng.random(N) call leaves it
+        assert rng.random() == ref.random()
+
+    def test_unrank_at_row_boundaries_of_a_large_triangle(self):
+        n = 3_000_000
+        rows = np.arange(1, n - 1, 997)
+        first = rows * (2 * n - rows - 1) // 2
+        i, j = _unrank(n, np.concatenate([first, first - 1]))
+        assert np.array_equal(i, np.concatenate([rows, rows - 1]))
+        assert np.array_equal(j, np.concatenate([rows + 1, np.full(len(rows), n - 1)]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 60), m=st.integers(1, 20), L=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_individual_pairs_match_pair_gather(self, n, m, L, seed):
+        pm = ProbMatrix(n=n, upper=np.full(pair_count(n), 0.5))
+        data = sample_individual(n, m, L, pm, seed=seed)
+        iu, ju = pair_arrays(n)
+        idx = np.random.default_rng(seed).integers(0, len(iu), size=m * L)
+        assert np.array_equal(data.i, iu[idx]) and np.array_equal(data.j, ju[idx])
 
 
 class TestGraphSampling:
@@ -74,7 +146,6 @@ class TestRhoFromTheta:
         assert pm.upper[0] == pytest.approx(0.880797, abs=1e-6)
 
     def test_ordering_preserved_in_tau(self, link):
-        from dpranking.metrics import tau
         rng = np.random.default_rng(5)
         theta = rng.normal(size=8)
         scores = tau(rho_from_theta(theta, link))
@@ -103,11 +174,7 @@ class TestOutcomeSampling:
         # each edge's draw is compared with rho[i, j] read from a dense matrix
         g = sample_er_graph(n, p, seed=seed)
         pm = ProbMatrix(n=n, upper=np.random.default_rng(upper_seed).random(pair_count(n)))
-        dense = np.full((n, n), 0.5)
-        iu, ju = pair_arrays(n)
-        dense[iu, ju] = pm.upper
-        dense[ju, iu] = 1.0 - pm.upper
-        expected = np.random.default_rng(seed).random(g.n_edges) < dense[g.i, g.j]
+        expected = np.random.default_rng(seed).random(g.n_edges) < dense(pm)[g.i, g.j]
         assert np.array_equal(sample_edge_outcomes(g, pm, seed=seed).y, expected)
 
     def test_size_mismatch(self):
@@ -176,12 +243,13 @@ class TestGenerateTheta:
 
 class TestTwoBlockRho:
     def test_tau_gap_equals_delta(self):
-        from dpranking.metrics import tau
-        n, k, gap = 20, 5, 0.3
-        scores = tau(two_block_rho(n, k, gap))
-        assert scores[0] - scores[k] == pytest.approx(gap, abs=1e-12)
-        assert np.all(scores[:k] == scores[0])
-        assert np.all(scores[k:] == scores[k])
+        gap = 0.3
+        # at n=100, k=37 the block boundary falls inside one of tau's row blocks
+        for n, k in [(20, 5), (100, 37)]:
+            scores = tau(two_block_rho(n, k, gap))
+            assert scores[0] - scores[k] == pytest.approx(gap, abs=1e-12)
+            assert np.all(scores[:k] == scores[0])
+            assert np.all(scores[k:] == scores[k])
 
     def test_gap_clipped_at_half(self):
         pm = two_block_rho(10, 3, 1.7)
