@@ -55,67 +55,49 @@ class EpsilonEstimate:
     nonprivate_flag: bool = False
 
 
-def _with_outcome(data: EdgeDataset, edge: int, y: int) -> EdgeDataset:
-    y_new = data.y.copy()
-    y_new[edge] = y
-    return EdgeDataset(graph=data.graph, y=y_new)
+def _replace_edge(data: EdgeDataset, edge: int, a: int, b: int, y: int) -> EdgeDataset:
+    """``data`` with record ``edge`` replaced by pair (a, b) won per ``y``, re-sorted."""
+    g = data.graph
+    i_new, j_new, y_new = g.i.copy(), g.j.copy(), data.y.copy()
+    i_new[edge], j_new[edge], y_new[edge] = a, b, y
+    order = np.lexsort((j_new, i_new))
+    graph = ComparisonGraph(n=g.n, i=i_new[order], j=j_new[order], p=g.p)
+    return EdgeDataset(graph=graph, y=y_new[order])
 
 
 def enumerate_adjacent(data: EdgeDataset, budget: int, seed=None) -> list[AdjacentPair]:
     """Adjacent edge datasets: every outcome flip, plus edge-for-edge swaps.
 
-    A swap removes one edge and adds a different pair (with either outcome).
-    When the full swap set exceeds the budget remaining after flips, swaps
-    are sampled without replacement.
+    Flips come first, in edge order. A swap replaces one edge by an absent
+    pair with either outcome; swaps run by edge, then absent pair in
+    row-major order, then outcome 0 before 1. When they exceed the budget
+    left after flips, that many are sampled without replacement.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = data.n
     g = data.graph
-    pairs: list[AdjacentPair] = []
-
-    for e in range(g.n_edges):
-        if len(pairs) >= budget:
-            return pairs
-        pairs.append(AdjacentPair(data, _with_outcome(data, e, 1 - int(data.y[e])),
-                                  "edge-flip"))
-
-    iu, ju = pair_arrays(n)
-    present = set(zip(g.i.tolist(), g.j.tolist()))
-    absent = [(a, b) for a, b in zip(iu.tolist(), ju.tolist()) if (a, b) not in present]
-    swaps = [(e, a, b, out) for e in range(g.n_edges) for (a, b) in absent for out in (0, 1)]
-    remaining = budget - len(pairs)
-    if len(swaps) > remaining:
-        idx = rng.choice(len(swaps), size=remaining, replace=False)
-        swaps = [swaps[t] for t in sorted(idx.tolist())]
-    for e, a, b, out in swaps:
-        keep = np.arange(g.n_edges) != e
-        i_new = np.append(g.i[keep], a)
-        j_new = np.append(g.j[keep], b)
-        y_new = np.append(data.y[keep], out).astype(data.y.dtype)
-        order = np.lexsort((j_new, i_new))
-        variant = EdgeDataset(
-            graph=ComparisonGraph(n=n, i=i_new[order], j=j_new[order], p=g.p),
-            y=y_new[order])
-        pairs.append(AdjacentPair(data, variant, "edge-swap"))
-    return pairs
+    flips = list(zip(range(g.n_edges), g.i.tolist(), g.j.tolist(), (1 - data.y).tolist()))
+    swaps = []
+    if budget > len(flips):
+        present = set(zip(g.i.tolist(), g.j.tolist()))
+        absent = [ab for ab in zip(*(t.tolist() for t in pair_arrays(data.n)))
+                  if ab not in present]
+        swaps = [(e, a, b, out) for e in range(g.n_edges) for a, b in absent
+                 for out in (0, 1)]
+        remaining = budget - len(flips)
+        if len(swaps) > remaining:
+            idx = np.random.default_rng(seed).choice(len(swaps), size=remaining,
+                                                     replace=False)
+            swaps = [swaps[t] for t in sorted(idx.tolist())]
+    return [AdjacentPair(data, _replace_edge(data, *edit), kind)
+            for kind, edits in (("edge-flip", flips[:budget]), ("edge-swap", swaps))
+            for edit in edits]
 
 
-def replace_user(data: IndividualDataset, user: int, seed=None,
-                 records=None) -> IndividualDataset:
-    """Replace one user's full bundle of L records.
-
-    By default the new records are uniform pairs with fair-coin outcomes;
-    ``records`` may supply explicit (i, j, y) arrays for extremal bundles.
-    """
+def replace_user(data: IndividualDataset, user: int, records) -> IndividualDataset:
+    """Replace one user's full bundle of L records with ``records``, (i, j, y) arrays."""
     if not 0 <= user < data.m:
         raise ValueError("user out of range")
-    if records is None:
-        rng = np.random.default_rng(seed)
-        iu, ju = pair_arrays(data.n)
-        idx = rng.integers(0, len(iu), size=data.L)
-        records = (iu[idx], ju[idx], (rng.random(data.L) < 0.5).astype(np.int8))
     i_new, j_new, y_new = (data.i.copy(), data.j.copy(), data.y.copy())
     s = data.user_slice(user)
     i_new[s], j_new[s], y_new[s] = records
@@ -125,12 +107,18 @@ def replace_user(data: IndividualDataset, user: int, seed=None,
 
 def user_replacement_pairs(data: IndividualDataset, count: int, seed=None
                            ) -> list[AdjacentPair]:
-    """Random user-replacement adjacent pairs for the individual regime."""
+    """Random user-replacement adjacent pairs for the individual regime.
+
+    Each replaced bundle holds L uniform pairs with fair-coin outcomes.
+    """
     rng = np.random.default_rng(seed)
+    iu, ju = pair_arrays(data.n)
     pairs = []
     for _ in range(count):
         user = int(rng.integers(0, data.m))
-        pairs.append(AdjacentPair(data, replace_user(data, user, seed=rng),
+        idx = rng.integers(0, len(iu), size=data.L)
+        records = (iu[idx], ju[idx], (rng.random(data.L) < 0.5).astype(np.int8))
+        pairs.append(AdjacentPair(data, replace_user(data, user, records),
                                   "user-replacement"))
     return pairs
 

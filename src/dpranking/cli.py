@@ -21,12 +21,6 @@ from .mle import calibrate_edge, calibrate_individual, estimate_full, rank_from_
 SEED_ENV = "DPRANKING_MASTER_SEED"
 
 
-def _default_seed(args_seed):
-    if args_seed is not None:
-        return args_seed
-    return int(os.environ.get(SEED_ENV, "0"))
-
-
 def _int_at_least(low: int):
     """An argparse type for integers >= low, so a bad value exits 2 naming its flag."""
     def integer(text: str) -> int:
@@ -47,13 +41,18 @@ def _epsilons(text: str) -> list[float]:
     return [_epsilon(tok) for tok in text.split(",")]
 
 
+def _checked_k(k: int, data) -> int:
+    if k > data.n:
+        raise ValueError(f"argument --k: {k} exceeds the {data.n} items in the data")
+    return k
+
+
 def _cmd_simulate(args):
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_json(fh.read())
-    except (OSError, ValueError) as exc:  # unreadable file, bad JSON or a bad key
-        print(f"dpranking simulate: error: {args.config}: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # bad JSON or a bad key: name the file
+        raise ValueError(f"{args.config}: {exc}") from None
     if args.out:
         from dataclasses import replace
         cfg = replace(cfg, output_path=args.out)
@@ -72,9 +71,8 @@ def _cmd_estimate(args):
         calib = calibrate_edge(args.epsilon, data.n, data.graph.p, link)
     else:
         calib = calibrate_individual(args.epsilon, data.n, data.m, data.L, link)
-    seed = _default_seed(args.seed)
-    theta, info = estimate_full(data, calib, link, seed=seed)
-    k = args.k or max(1, data.n // 4)
+    theta, info = estimate_full(data, calib, link, seed=args.seed)
+    k = _checked_k(args.k or max(1, data.n // 4), data)
     names = data.item_names()
     out = {
         "epsilon": eps_token(args.epsilon),
@@ -103,8 +101,8 @@ def _cmd_rank(args):
     data = ingest(args.data, mode=args.mode)
     wins = counts_mod.win_counts(data)
     L = data.L if args.mode == "individual" else 1
-    seed = _default_seed(args.seed)
-    top = counts_mod.noisy_topk(wins, args.k, args.epsilon, args.mode, L=L, seed=seed)
+    top = counts_mod.noisy_topk(wins, _checked_k(args.k, data), args.epsilon, args.mode,
+                                L=L, seed=args.seed)
     names = data.item_names()
     print(json.dumps({"epsilon": eps_token(args.epsilon), "k": args.k,
                       "top_k": sorted(names[i] for i in top)}, indent=2))
@@ -112,8 +110,7 @@ def _cmd_rank(args):
 
 
 def _cmd_audit(args):
-    seed = _default_seed(args.seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     link = get_link("logistic")
     n, k = 4, 2
     theta = generate_theta(n, k, seed=rng, top_inclusive=True)
@@ -144,8 +141,7 @@ def _cmd_audit(args):
 
 def _cmd_ingest_rank(args):
     data = ingest(args.data, mode="individual")
-    seed = _default_seed(args.seed)
-    records = real_data_eval(data, args.epsilons, trials=args.trials, seed=seed)
+    records = real_data_eval(data, args.epsilons, trials=args.trials, seed=args.seed)
     write_records_csv(records, args.out or "/dev/stdout")
     return 0
 
@@ -155,6 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dpranking",
         description="Differentially private ranking from pairwise comparisons")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse applies type=int to a string default, so a bad value exits 2
+    seed = {"type": int, "default": os.environ.get(SEED_ENV, "0")}
 
     p = sub.add_parser("simulate", help="run an experiment config and emit CSV")
     p.add_argument("--config", required=True, help="experiment config JSON file")
@@ -167,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["edge", "individual"], required=True)
     p.add_argument("--epsilon", type=_epsilon, required=True,
                    help="positive value or 'inf'")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", **seed)
     p.add_argument("--k", type=_int_at_least(1))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)
@@ -177,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["edge", "individual"], required=True)
     p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--k", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", **seed)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("audit", help="sensitivity and empirical-epsilon audit")
@@ -185,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--samples", type=_int_at_least(audit_mod.MIN_EPSILON_SAMPLES),
                    default=1_000_000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", **seed)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("ingest-rank", help="real-data rank-difference evaluation")
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", type=_epsilons, required=True,
                    help="comma-separated, may include inf")
     p.add_argument("--trials", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", **seed)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ingest_rank)
     return parser
@@ -201,7 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # unreadable or malformed input
+        print(f"dpranking {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

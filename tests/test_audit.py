@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpranking.audit import (AdjacentPair, CountTopKMechanism,
                              SensitivityViolation, enumerate_adjacent,
                              estimate_epsilon, extremal_user_pair, replace_user,
                              sensitivity_check, user_replacement_pairs)
 from dpranking.data import (ComparisonGraph, EdgeDataset, IndividualDataset,
-                            ProbMatrix, sample_edge_outcomes, sample_er_graph,
-                            sample_individual)
+                            ProbMatrix, pair_arrays, pair_count, sample_edge_outcomes,
+                            sample_er_graph, sample_individual)
 
 # allowance for sampling error in a frequency-based epsilon estimate
 SLACK = 0.1
@@ -46,6 +47,80 @@ class TestEnumerateAdjacent:
             if p.adjacency_kind == "edge-swap":
                 assert p.variant.graph.n_edges == 1
                 assert (p.variant.graph.i[0], p.variant.graph.j[0]) != (0, 1)
+
+
+def _reference_adjacent(data):
+    """(kind, sorted (i, j, y) records) of every edge-neighbour, built from sets."""
+    g = data.graph
+    records = list(zip(g.i.tolist(), g.j.tolist(), data.y.tolist()))
+    present = {(a, b) for a, b, _ in records}
+    absent = [(a, b) for a in range(data.n) for b in range(a + 1, data.n)
+              if (a, b) not in present]
+    flips = [("edge-flip", sorted(set(records) - {(a, b, y)} | {(a, b, 1 - y)}))
+             for a, b, y in records]
+    swaps = [("edge-swap", sorted(set(records) - {rec} | {(a, b, out)}))
+             for rec in records for a, b in absent for out in (0, 1)]
+    return flips + swaps
+
+
+def _listed(pairs):
+    return [(p.adjacency_kind, list(zip(p.variant.graph.i.tolist(),
+                                        p.variant.graph.j.tolist(),
+                                        p.variant.y.tolist()))) for p in pairs]
+
+
+class TestEnumerationOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_full_budget_matches_set_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        g = sample_er_graph(n, float(rng.uniform(0.2, 1.0)), seed=rng)
+        pm = ProbMatrix(n=n, upper=rng.random(pair_count(n)))
+        data = sample_edge_outcomes(g, pm, seed=rng)
+        edges = data.graph.n_edges
+        full = edges + 2 * edges * (pair_count(n) - edges)
+        pairs = enumerate_adjacent(data, budget=max(1, full), seed=rng)
+        assert _listed(pairs) == _reference_adjacent(data)
+        for p in pairs:
+            assert p.base is data
+            assert (p.variant.graph.n, p.variant.graph.p) == (n, data.graph.p)
+            assert p.variant.graph.i.dtype == p.variant.graph.j.dtype == np.int64
+            assert p.variant.y.dtype == np.int8
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_generator_draws_only_to_sample_swaps(self, extra):
+        # edges (0, 1), (0, 2), (1, 3) leave three pairs absent: 18 swaps
+        g = ComparisonGraph(n=4, i=np.array([0, 0, 1]), j=np.array([1, 2, 3]), p=0.5)
+        data = EdgeDataset(graph=g, y=np.array([1, 0, 1], dtype=np.int8))
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        pairs = enumerate_adjacent(data, budget=3 + extra, seed=rng)
+        reference = _reference_adjacent(data)
+        if extra == 1:
+            (t,) = twin.choice(18, size=1, replace=False)
+            assert _listed(pairs) == reference[:3] + [reference[3 + t]]
+        else:
+            assert _listed(pairs) == reference[:3 + extra]
+        assert rng.random() == twin.random()
+
+
+class TestUserReplacement:
+    def test_replays_against_twin_generator(self):
+        pm = ProbMatrix(n=5, upper=np.full(10, 0.5))
+        data = sample_individual(5, 6, 3, pm, seed=8)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        pairs = user_replacement_pairs(data, 7, seed=rng)
+        iu, ju = pair_arrays(5)
+        for p in pairs:
+            user = int(twin.integers(0, data.m))
+            idx = twin.integers(0, len(iu), size=data.L)
+            y = (twin.random(data.L) < 0.5).astype(np.int8)
+            s = data.user_slice(user)
+            for field, new in (("i", iu[idx]), ("j", ju[idx]), ("y", y)):
+                want = getattr(data, field).copy()
+                want[s] = new
+                assert np.array_equal(getattr(p.variant, field), want)
+            assert p.base is data and p.adjacency_kind == "user-replacement"
+        assert rng.random() == twin.random()
 
 
 class TestSensitivity:

@@ -51,6 +51,40 @@ def test_estimate_seed_env_default(cems_path, capsys, monkeypatch):
     assert third["theta"] != first["theta"]
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["estimate", "--mode", "individual", "--epsilon", "1", "--k", "100"], "argument --k"),
+    (["rank", "--mode", "individual", "--epsilon", "1", "--k", "7"], "argument --k"),
+    (["rank", "--data", "{bad}", "--mode", "edge", "--epsilon", "1", "--k", "1"],
+     "bad.csv:3: winner 'rome' is neither item"),
+    (["ingest-rank", "--data", "{missing}", "--epsilons", "1", "--trials", "1"],
+     "missing.csv"),
+    (["estimate", "--mode", "edge", "--epsilon", "1"], "use individual mode"),
+], ids=["estimate-k", "rank-k", "bad-winner", "missing-file", "edge-repeats"])
+def test_bad_input_exits_2_with_one_line(cems_path, tmp_path, capsys, argv, needle):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("user_id,item_a,item_b,winner\nu1,paris,london,paris\n"
+                   "u2,london,milan,rome\n")
+    argv = [a.format(bad=bad, missing=tmp_path / "missing.csv") for a in argv]
+    if "--data" not in argv:
+        argv += ["--data", cems_path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"dpranking {argv[0]}: error: ") and needle in lines[0]
+    assert captured.out == ""
+
+
+def test_bad_seed_env_exits_2(cems_path, capsys, monkeypatch):
+    monkeypatch.setenv("DPRANKING_MASTER_SEED", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--data", cems_path, "--mode", "individual", "--epsilon", "1",
+              "--k", "3"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["dpranking rank: error: argument --seed: invalid int value: 'x'"]
+
+
 def test_estimate_rejects_zero_k(cems_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--data", cems_path, "--mode", "individual",
