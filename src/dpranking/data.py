@@ -7,14 +7,17 @@ upper triangle; the skew-symmetry rho[i,j] + rho[j,i] = 1 is structural.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .links import LinkFunction
 
-# uniforms drawn per call in sample_er_graph; the stream is the same as one call
+# most gaps drawn per call in sample_er_graph
 _DRAW_CHUNK = 1 << 20
+# most pairs per link.eval call in rho_from_theta, so its temporaries stay small
+_RHO_BLOCK = 1 << 16
 
 
 def pair_count(n: int) -> int:
@@ -143,27 +146,62 @@ class IndividualDataset(_NamedItems):
 
 
 def sample_er_graph(n: int, p: float, seed=None) -> ComparisonGraph:
-    """Erdos-Renyi comparison graph: each pair kept independently w.p. p."""
+    """Erdos-Renyi comparison graph: each pair kept independently w.p. p.
+
+    The gaps between kept packed positions are i.i.d. Geometric(p), so the
+    draws are O(E) rather than O(n^2) (Batagelj & Brandes 2005). Each batch
+    is sized to finish the triangle with high probability; draws past its end
+    are discarded. At p = 1 every gap is 1 and takes one double, so the graph
+    and the generator's next draw match one ``rng.random(N)`` threshold.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     total = pair_count(n)
-    i, j = _unrank(n, np.concatenate([
-        start + np.flatnonzero(rng.random(min(_DRAW_CHUNK, total - start)) < p)
-        for start in range(0, total, _DRAW_CHUNK)]))
-    return ComparisonGraph(n=n, i=i, j=j, p=p)
+    batches, last = [], -1  # last: the latest kept position, -1 before any
+    while last < total - 1:
+        rem = total - 1 - last
+        size = min(rem, _DRAW_CHUNK, math.ceil(p * rem + 4 * math.sqrt(p * rem) + 16))
+        # a gap past the end stops the graph; clipping keeps the cumsum from
+        # wrapping when tiny p gives INT64_MAX
+        kept = rng.geometric(p, size)
+        np.minimum(kept, total + 1, out=kept)
+        kept[0] += last
+        np.cumsum(kept, out=kept)
+        last = int(kept[-1])
+        if last >= total:
+            kept = kept[:np.searchsorted(kept, total)]
+        batches.append(kept)
+    idx = batches[0] if len(batches) == 1 else np.concatenate(batches)
+    # idx is sorted, so each row's pairs are one run of it: count the runs
+    starts = row_starts(n)
+    rows = np.diff(np.searchsorted(idx, starts), append=len(idx))
+    # idx = row_starts[i] + j - i - 1, so j = idx - (row_starts - arange - 1)[i]
+    j = np.subtract(idx, np.repeat(starts - np.arange(n) - 1, rows), out=idx)
+    return ComparisonGraph(n=n, i=np.repeat(np.arange(n, dtype=np.int64), rows), j=j, p=p)
 
 
 def rho_from_theta(theta: np.ndarray, link: LinkFunction) -> ProbMatrix:
-    """Parametric probabilities rho[i,j] = F(theta_i - theta_j)."""
+    """Parametric probabilities rho[i,j] = F(theta_i - theta_j).
+
+    Differences are filled and evaluated in place one block of whole rows at
+    a time, at most ``_RHO_BLOCK`` pairs unless one row is longer.
+    """
     theta = np.asarray(theta, dtype=float)
     n = len(theta)
-    diff = np.empty(pair_count(n))
-    for i, start in enumerate(row_starts(n)):
-        diff[start:start + n - i - 1] = theta[i] - theta[i + 1:]
-    return ProbMatrix(n=n, upper=np.asarray(link.eval(diff), dtype=float))
+    ends = np.append(row_starts(n), pair_count(n))
+    upper = np.empty(ends[-1])
+    first = 0
+    while first < n - 1:
+        stop = max(first + 1, int(np.searchsorted(ends, ends[first] + _RHO_BLOCK, "right")) - 1)
+        for i in range(first, stop):
+            upper[ends[i]:ends[i + 1]] = theta[i] - theta[i + 1:]
+        block = upper[ends[first]:ends[stop]]
+        block[:] = link.eval(block)
+        first = stop
+    return ProbMatrix(n=n, upper=upper)
 
 
 def sample_edge_outcomes(graph: ComparisonGraph, rho: ProbMatrix, seed=None) -> EdgeDataset:

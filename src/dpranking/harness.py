@@ -301,22 +301,33 @@ def ingest(path: str, mode: str) -> EdgeDataset | IndividualDataset:
 
     Item names map to 0-based indices by first appearance. Individual mode
     groups rows by user and requires every user to hold the modal record
-    count L; a user who does not is a ParseError that names them. Edge mode
-    admits at most one comparison per unordered pair.
+    count L; a user who does not is a ParseError that names them and the
+    line of their first record. Edge mode admits at most one comparison per
+    unordered pair, and a repeat names both lines.
     """
     if mode not in ("edge", "individual"):
         raise ValueError("mode must be 'edge' or 'individual'")
 
     index: dict[str, int] = {}
     users: dict[str, list[tuple[int, int, int]]] = {}
+    user_line: dict[str, int] = {}
+    pair_line: dict[tuple[int, int], int] = {}
     for lineno, user, a, b, w in _read_rows(path):
         for name in (a, b):
             if name not in index:
                 index[name] = len(index)
         ia, ib = index[a], index[b]
         lo, hi = (ia, ib) if ia < ib else (ib, ia)
+        if mode == "edge":
+            if (lo, hi) in pair_line:
+                first, second = (a, b) if ia < ib else (b, a)
+                raise AdjacencyModelError(
+                    f"{path}:{lineno}: pair ({first}, {second}) compared more than "
+                    f"once (first on line {pair_line[lo, hi]}); use individual mode")
+            pair_line[lo, hi] = lineno
         y = 1 if index[w] == lo else 0
         users.setdefault(user, []).append((lo, hi, y))
+        user_line.setdefault(user, lineno)
     if not users:
         raise ParseError(f"{path}: no data rows")
     n = len(index)
@@ -327,13 +338,6 @@ def ingest(path: str, mode: str) -> EdgeDataset | IndividualDataset:
     y = np.array([r[2] for r in recs], dtype=np.int8)
 
     if mode == "edge":
-        seen = set()
-        for lo, hi, _ in recs:
-            if (lo, hi) in seen:
-                raise AdjacencyModelError(
-                    f"pair ({items[lo]}, {items[hi]}) compared more than once; "
-                    "use individual mode")
-            seen.add((lo, hi))
         order = np.lexsort((j, i))
         graph = ComparisonGraph(n=n, i=i[order], j=j[order],
                                 p=len(recs) / pair_count(n))
@@ -343,7 +347,8 @@ def ingest(path: str, mode: str) -> EdgeDataset | IndividualDataset:
     L = max(tally, key=lambda c: (tally[c], -c))
     for user, rows in users.items():
         if len(rows) != L:
-            raise ParseError(f"user {user!r} has {len(rows)} records, expected {L}")
+            raise ParseError(f"{path}:{user_line[user]}: user {user!r} has {len(rows)} "
+                             f"records, expected {L}")
     return IndividualDataset(n=n, m=len(users), L=L, i=i, j=j, y=y, items=items)
 
 

@@ -75,6 +75,13 @@ def test_bad_input_exits_2_with_one_line(cems_path, tmp_path, capsys, argv, need
     assert captured.out == ""
 
 
+def test_edge_repeat_names_file_and_lines(cems_path, capsys):
+    assert main(["estimate", "--data", cems_path, "--mode", "edge", "--epsilon", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"dpranking estimate: error: {cems_path}:17: pair (item_1, item_2) compared "
+        "more than once (first on line 2); use individual mode"]
+
+
 def test_bad_seed_env_exits_2(cems_path, capsys, monkeypatch):
     monkeypatch.setenv("DPRANKING_MASTER_SEED", "x")
     with pytest.raises(SystemExit) as exc:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpranking.data import (_DRAW_CHUNK, ComparisonGraph, IndividualDataset,
-                            ProbMatrix, _unrank, generate_theta, pair_arrays,
-                            pair_count, rho_from_theta, sample_edge_outcomes,
-                            sample_er_graph, sample_individual, two_block_rho)
+from dpranking import data as data_mod
+from dpranking.data import (_DRAW_CHUNK, _RHO_BLOCK, ComparisonGraph,
+                            IndividualDataset, ProbMatrix, _unrank, generate_theta,
+                            pair_arrays, pair_count, rho_from_theta, row_starts,
+                            sample_edge_outcomes, sample_er_graph, sample_individual,
+                            two_block_rho)
 from dpranking.links import logistic_link
 from dpranking.metrics import tau
 
@@ -49,6 +51,28 @@ class TestPackedPaths:
         pm = ProbMatrix(n=n, upper=np.random.default_rng(seed).random(pair_count(n)))
         assert np.array_equal(tau(pm), dense(pm).mean(axis=1))
 
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_rho_from_theta_matches_pair_gather_across_blocks(self, link, n):
+        # several row blocks, the last ending at the triangle's end
+        assert pair_count(n) > 4 * _RHO_BLOCK
+        theta = np.random.default_rng(n).normal(scale=3.0, size=n)
+        upper = rho_from_theta(theta, link).upper
+        iu, ju = pair_arrays(n)
+        for a in range(0, len(iu), 10**6):
+            b = a + 10**6
+            assert np.array_equal(upper[a:b], link.eval(theta[iu[a:b]] - theta[ju[a:b]]))
+
+    def test_rho_from_theta_peak_memory_is_near_the_triangle(self, link):
+        n = 2000
+        theta = np.random.default_rng(0).normal(size=n)
+        tracemalloc.start()
+        try:
+            rho_from_theta(theta, link)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * pair_count(n) * 8
+
     def test_tau_peak_memory_is_below_a_quarter_of_dense(self):
         n = 2000
         pm = ProbMatrix(n=n, upper=np.random.default_rng(0).random(pair_count(n)))
@@ -69,18 +93,47 @@ class TestPackedPaths:
         assert np.array_equal(rho_from_theta(theta, link).upper, expected)
 
     @pytest.mark.parametrize("n, p", [(2, 1.0), (7, 0.5), (60, 0.05), (200, 0.3),
-                                      (1500, 0.01), (1500, 1.0)])
+                                      (1500, 0.01), (1500, 0.9), (1500, 1.0)])
     def test_er_graph_matches_one_draw(self, n, p):
-        # n=1500 draws its uniforms in more than one chunk
+        # n=1500 at p = 1 draws its gaps in more than one batch
         assert pair_count(1500) > _DRAW_CHUNK
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
         g = sample_er_graph(n, p, seed=rng)
         iu, ju = pair_arrays(n)
-        keep = ref.random(len(iu)) < p
+        if p == 1:
+            keep = ref.random(len(iu)) < p
+        else:
+            # one geometric gap at a time from the last kept position
+            keep, pos = [], -1
+            while (pos := pos + ref.geometric(p)) < len(iu):
+                keep.append(pos)
         assert np.array_equal(g.i, iu[keep]) and np.array_equal(g.j, ju[keep])
         assert g.i.dtype == iu.dtype and g.j.dtype == ju.dtype
-        # the generator is left where one rng.random(N) call leaves it
-        assert rng.random() == ref.random()
+        if p == 1:
+            # the generator is left where one rng.random(N) call leaves it
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n, p", [(60, 0.5), (300, 0.02), (300, 1.0)])
+    def test_er_graph_does_not_depend_on_batch_size(self, monkeypatch, n, p):
+        g = sample_er_graph(n, p, seed=5)
+        monkeypatch.setattr(data_mod, "_DRAW_CHUNK", 7)
+        small = sample_er_graph(n, p, seed=5)
+        assert np.array_equal(g.i, small.i) and np.array_equal(g.j, small.j)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-12])
+    def test_er_graph_at_tiny_p_is_empty(self, p):
+        # the first gap overshoots the triangle (INT64_MAX at 1e-300): no edge, no wrap
+        assert sample_er_graph(50, p, seed=0).n_edges == 0
+
+    def test_er_graph_pair_frequencies(self):
+        n, p, graphs = 6, 0.3, 20_000
+        rng = np.random.default_rng(2)
+        hits = np.zeros(pair_count(n))
+        for _ in range(graphs):
+            g = sample_er_graph(n, p, seed=rng)
+            hits[row_starts(n)[g.i] + g.j - g.i - 1] += 1
+        z = (hits - graphs * p) / np.sqrt(graphs * p * (1 - p))
+        assert np.all(np.abs(z) < 4.5)
 
     def test_unrank_at_row_boundaries_of_a_large_triangle(self):
         n = 3_000_000

@@ -210,6 +210,17 @@ class TestRunExperiment:
         write_records_csv(r2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_sparse_edge_csv_is_deterministic_across_workers(self, tmp_path):
+        # p < 1 draws the graph by geometric gaps; p = 1 by unit gaps
+        cfg = _tiny_config(n_values=(20,), p_values=(0.3, 1.0))
+        outs = []
+        for name, workers in (("a", 1), ("b", 1), ("c", 3)):
+            path = tmp_path / f"{name}.csv"
+            write_records_csv(run_experiment(cfg, workers=workers), path)
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert b",0.3," in outs[0]
+
     def test_private_edge_trials_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -268,10 +279,24 @@ class TestIngest:
         with pytest.raises(ParseError, match="u2"):
             ingest(path, mode="individual")
 
+    def test_strict_L_mismatch_names_first_line_of_user(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(CEMS_CSV + "u2,london,milan,milan\n")
+        with pytest.raises(ParseError, match=r"raw\.csv:4: user 'u2' has 3 records, expected 2"):
+            ingest(path, mode="individual")
+
     def test_edge_mode_duplicate_pair(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text(CEMS_CSV)
         with pytest.raises(AdjacencyModelError, match="individual mode"):
+            ingest(path, mode="edge")
+
+    def test_edge_mode_duplicate_pair_names_both_lines(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(CEMS_CSV)
+        with pytest.raises(AdjacencyModelError,
+                           match=r"raw\.csv:4: pair \(paris, london\) compared more than "
+                                 r"once \(first on line 2\); use individual mode"):
             ingest(path, mode="edge")
 
     def test_edge_mode_accepts_unique_pairs(self, tmp_path):
