@@ -8,6 +8,7 @@ upper triangle; the skew-symmetry rho[i,j] + rho[j,i] = 1 is structural.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,13 +192,13 @@ def rho_from_theta(theta: np.ndarray, link: LinkFunction) -> ProbMatrix:
     """
     theta = np.asarray(theta, dtype=float)
     n = len(theta)
-    ends = np.append(row_starts(n), pair_count(n))
+    ends = row_starts(n).tolist() + [pair_count(n)]
     upper = np.empty(ends[-1])
     first = 0
     while first < n - 1:
-        stop = max(first + 1, int(np.searchsorted(ends, ends[first] + _RHO_BLOCK, "right")) - 1)
+        stop = max(first + 1, bisect_right(ends, ends[first] + _RHO_BLOCK) - 1)
         for i in range(first, stop):
-            upper[ends[i]:ends[i + 1]] = theta[i] - theta[i + 1:]
+            np.subtract(theta[i], theta[i + 1:], out=upper[ends[i]:ends[i + 1]])
         block = upper[ends[first]:ends[stop]]
         block[:] = link.eval(block)
         first = stop
