@@ -17,8 +17,8 @@ from .links import LinkFunction
 
 # most gaps drawn per call in sample_er_graph
 _DRAW_CHUNK = 1 << 20
-# most pairs per link.eval call in rho_from_theta, so its temporaries stay small
-_RHO_BLOCK = 1 << 16
+# most pairs per row block in rho_from_theta and tau, so temporaries stay small
+_PAIR_BLOCK = 1 << 16
 
 
 def pair_count(n: int) -> int:
@@ -184,25 +184,34 @@ def sample_er_graph(n: int, p: float, seed=None) -> ComparisonGraph:
     return ComparisonGraph(n=n, i=np.repeat(np.arange(n, dtype=np.int64), rows), j=j, p=p)
 
 
+def _row_blocks(n: int) -> tuple[list[int], list[int]]:
+    """Packed row starts plus the triangle's length, and row-block bounds.
+
+    Block t is rows ``bounds[t]..bounds[t+1]``: at most ``_PAIR_BLOCK`` pairs
+    unless one row is longer, and never the empty row n - 1.
+    """
+    ends = row_starts(n).tolist() + [pair_count(n)]
+    bounds = [0]
+    while (first := bounds[-1]) < n - 1:
+        fits = bisect_right(ends, ends[first] + _PAIR_BLOCK) - 1
+        bounds.append(min(n - 1, max(first + 1, fits)))
+    return ends, bounds
+
+
 def rho_from_theta(theta: np.ndarray, link: LinkFunction) -> ProbMatrix:
     """Parametric probabilities rho[i,j] = F(theta_i - theta_j).
 
-    Differences are filled and evaluated in place one block of whole rows at
-    a time, at most ``_RHO_BLOCK`` pairs unless one row is longer.
+    Differences are filled and evaluated in place one row block at a time.
     """
     theta = np.asarray(theta, dtype=float)
-    n = len(theta)
-    ends = row_starts(n).tolist() + [pair_count(n)]
+    ends, bounds = _row_blocks(len(theta))
     upper = np.empty(ends[-1])
-    first = 0
-    while first < n - 1:
-        stop = max(first + 1, bisect_right(ends, ends[first] + _RHO_BLOCK) - 1)
+    for first, stop in zip(bounds, bounds[1:]):
         for i in range(first, stop):
             np.subtract(theta[i], theta[i + 1:], out=upper[ends[i]:ends[i + 1]])
         block = upper[ends[first]:ends[stop]]
         block[:] = link.eval(block)
-        first = stop
-    return ProbMatrix(n=n, upper=upper)
+    return ProbMatrix(n=len(theta), upper=upper)
 
 
 def sample_edge_outcomes(graph: ComparisonGraph, rho: ProbMatrix, seed=None) -> EdgeDataset:

@@ -173,8 +173,8 @@ def _trial_records(cfg: ExperimentConfig, n: int, p, m, eps: float,
 
     theta_star = generate_theta(n, k, seed=rng, top_inclusive=True)
     rho = rho_from_theta(theta_star, link)
-    tau_scores = metrics_mod.tau(rho)
-    true_set = metrics_mod.true_topk(tau_scores, k)
+    # tau rises strictly with theta, which ties only inside its top group
+    true_set = rank_from_scores(theta_star, k)
 
     if cfg.regime == "edge":
         graph = sample_er_graph(n, p, seed=rng)

@@ -1,7 +1,7 @@
 """Ground-truth functionals, error metrics, and separation thresholds.
 
 tau_i is item i's average winning probability against a uniformly random
-opponent (diagonal term 1/2 included, so the tau values always average 1/2).
+opponent (diagonal term 1/2 included, so the tau values average 1/2).
 Log-relative errors use the natural log and floor exact zeros at -50 to keep
 CSV output numeric.
 """
@@ -11,46 +11,37 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import ProbMatrix, row_starts
+from .data import ProbMatrix, _row_blocks
 
 LOG_ERROR_FLOOR = -50.0
 
-# dense rows tau builds at a time
-_TAU_ROWS = 32
-
 
 def tau(rho: ProbMatrix) -> np.ndarray:
-    """tau_i = (1/n) sum_j rho_ij, diagonal included.
+    """tau_i = (1/n) sum_j rho_ij, diagonal included, from exact row sums.
 
-    Rows of the dense matrix are built a block at a time from the packed
-    triangle, so each row mean sums the same values in the same order as
-    ``dense.mean(axis=1)`` would, and equal rows give equal tau exactly.
+    Dense row i sums to R_i + 1/2 + i - C_i, where R_i and C_i are the sums of
+    packed row i and packed column i. Each entry is rounded to a multiple of
+    2**-s, s = 62 - n.bit_length(), and summed as an int64 (every partial sum
+    stays below n * 2**s < 2**62), so the sums do not depend on order and one
+    row block of the triangle is read at a time. tau is within 2**-(s+1) plus
+    float rounding of the exact row mean, and rows holding the same values
+    (equal-theta items, the blocks of ``two_block_rho``) tie exactly.
     """
     n, upper = rho.n, rho.upper
-    starts = row_starts(n)
-    cols = np.arange(n)
-    # rho[r, c] for c < r is 1 - upper[col_base[c] + r]
-    col_base = starts - cols - 1
-    out = np.empty(n)
-    for r0 in range(0, n, _TAU_ROWS):
-        rows = cols[r0:r0 + _TAU_ROWS, None]
-        r1 = r0 + len(rows)
-        block = np.empty((len(rows), n))
-        if r0:
-            # column c < r0 of the block is the packed run starting at col_base[c] + r0
-            windows = sliding_window_view(upper, len(rows))
-            block[:, :r0] = 1.0 - windows[col_base[:r0] + r0].T
-        # the block's upper part is rows r0..r1-1 of the packed triangle, in order
-        above = cols[r0:] > rows
-        block[:, r0:][above] = upper[starts[r0]:starts[r0] + np.count_nonzero(above)]
-        square = block[:, r0:r1]
-        below = cols[r0:r1] < rows
-        square[below] = 1.0 - upper[(col_base[r0:r1] + rows)[below]]
-        square[cols[r0:r1] == rows] = 0.5
-        out[r0:r1] = block.mean(axis=1)
-    return out
+    s = 62 - n.bit_length()
+    ends, bounds = _row_blocks(n)
+    rows = np.zeros(n, dtype=np.int64)
+    cols = np.zeros(n, dtype=np.int64)
+    for first, stop in zip(bounds, bounds[1:]):
+        base = ends[first]
+        q = np.rint(np.ldexp(upper[base:ends[stop]], s)).astype(np.int64)
+        rows[first:stop] = np.add.reduceat(q, np.subtract(ends[first:stop], base))
+        for i in range(first, stop):
+            cols[i + 1:] += q[ends[i] - base:ends[i + 1] - base]
+    # 2**s * (R_i + 1/2 + i - C_i), exact
+    total = rows - cols + (2 * np.arange(n, dtype=np.int64) + 1 << s - 1)
+    return np.ldexp(total.astype(float), -s) / n
 
 
 def descending_order(scores) -> np.ndarray:

@@ -1,15 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpranking import data as data_mod
-from dpranking.data import (_DRAW_CHUNK, _RHO_BLOCK, ComparisonGraph,
-                            IndividualDataset, ProbMatrix, _unrank, generate_theta,
-                            pair_arrays, pair_count, rho_from_theta, row_starts,
-                            sample_edge_outcomes, sample_er_graph, sample_individual,
-                            two_block_rho)
+from dpranking.data import (_DRAW_CHUNK, _PAIR_BLOCK, ComparisonGraph,
+                            IndividualDataset, ProbMatrix, _row_blocks, _unrank,
+                            generate_theta, pair_arrays, pair_count, rho_from_theta,
+                            row_starts, sample_edge_outcomes, sample_er_graph,
+                            sample_individual, two_block_rho)
 from dpranking.links import logistic_link
 from dpranking.metrics import tau
 
@@ -47,14 +48,44 @@ class TestPackedPaths:
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1))
+    @example(n=1200, seed=0)  # several row blocks
     def test_tau_is_dense_row_mean(self, n, seed):
         pm = ProbMatrix(n=n, upper=np.random.default_rng(seed).random(pair_count(n)))
-        assert np.array_equal(tau(pm), dense(pm).mean(axis=1))
+        exact = np.array([math.fsum(row) / n for row in dense(pm)])
+        s = 62 - n.bit_length()
+        assert np.max(np.abs(tau(pm) - exact)) <= 2.0**-(s + 1) + 2.0**-51
+
+    @pytest.mark.parametrize("n", [2047, 2048, 4095, 4096])
+    def test_tau_of_a_total_order_is_exact(self, n):
+        # each n.bit_length() step moves the fixed point; the sums use its full range
+        i = np.arange(n)
+        assert np.array_equal(tau(ProbMatrix(n=n, upper=np.ones(pair_count(n)))),
+                              (n - i - 0.5) / n)
+        assert np.array_equal(tau(ProbMatrix(n=n, upper=np.zeros(pair_count(n)))),
+                              (i + 0.5) / n)
+
+    def test_tau_ties_equal_theta_across_row_blocks(self, link):
+        n, k = 1200, 300
+        _, bounds = _row_blocks(n)
+        assert sum(b < k for b in bounds) > 2
+        theta = generate_theta(n, k, seed=4, top_inclusive=True)
+        scores = tau(rho_from_theta(theta, link))
+        assert np.all(scores[:k] == scores[0])
+        assert np.all(scores[k:] < scores[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 363, 364, 1200, 5000, 70000])
+    def test_row_blocks_cover_the_nonempty_rows(self, n):
+        ends, bounds = _row_blocks(n)
+        assert ends == row_starts(n).tolist() + [pair_count(n)]
+        assert bounds[0] == 0 and bounds[-1] == max(n - 1, 0)
+        for first, stop in zip(bounds, bounds[1:]):
+            assert first < stop and ends[stop] > ends[stop - 1]
+            assert ends[stop] - ends[first] <= _PAIR_BLOCK or stop == first + 1
 
     @pytest.mark.parametrize("n", [1200, 5000])
     def test_rho_from_theta_matches_pair_gather_across_blocks(self, link, n):
         # several row blocks, the last ending at the triangle's end
-        assert pair_count(n) > 4 * _RHO_BLOCK
+        assert pair_count(n) > 4 * _PAIR_BLOCK
         theta = np.random.default_rng(n).normal(scale=3.0, size=n)
         upper = rho_from_theta(theta, link).upper
         iu, ju = pair_arrays(n)
@@ -121,7 +152,7 @@ class TestPackedPaths:
         assert np.array_equal(g.i, small.i) and np.array_equal(g.j, small.j)
 
     @pytest.mark.parametrize("p", [1e-300, 1e-12])
-    def test_er_graph_at_tiny_p_is_empty(self, p):
+    def test_er_graph_at_tiny_p_is_empty(self, p, time_limit):
         # the first gap overshoots the triangle (INT64_MAX at 1e-300): no edge, no wrap
         assert sample_er_graph(50, p, seed=0).n_edges == 0
 

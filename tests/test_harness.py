@@ -9,13 +9,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dpranking.data import generate_theta, rho_from_theta
 from dpranking.harness import (AdjacencyModelError, ExperimentConfig,
                                ParseError, eps_token, ingest,
                                max_mean_rank_diff, parse_eps, preset_config,
                                real_data_eval, run_experiment, substream,
                                write_records_csv)
+from dpranking.links import logistic_link
+from dpranking.metrics import tau, true_topk
+from dpranking.mle import rank_from_scores
 
 CEMS_PATH = pathlib.Path(__file__).resolve().parent.parent / "data" / "cems_synthetic.csv"
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 300, 800])
+def test_true_topk_is_theta_stars_top_k(n):
+    # the trial takes its truth from theta*; tau would give the same set
+    k = n // 4
+    for seed in range(4):
+        theta = generate_theta(n, k, seed=seed, top_inclusive=True)
+        expected = true_topk(tau(rho_from_theta(theta, logistic_link())), k)
+        assert np.array_equal(rank_from_scores(theta, k), expected)
 
 
 class TestEpsTokens:
