@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +38,22 @@ def row_starts(n: int) -> np.ndarray:
     """
     i = np.arange(n, dtype=np.int64)
     return i * (2 * n - i - 1) // 2
+
+
+def row_blocks(n: int) -> Iterator[tuple[int, list[int]]]:
+    """The packed triangle's rows 0..n-2 in blocks of whole rows.
+
+    Yields ``(first, ends)``: row ``first + t`` is the packed run
+    ``ends[t]:ends[t + 1]`` and the block is ``ends[0]:ends[-1]``, at most
+    ``_PAIR_BLOCK`` pairs unless its one row is longer.
+    """
+    ends = row_starts(n).tolist() + [pair_count(n)]
+    first = 0
+    while first < n - 1:
+        fits = bisect_right(ends, ends[first] + _PAIR_BLOCK) - 1
+        stop = min(n - 1, max(first + 1, fits))
+        yield first, ends[first:stop + 1]
+        first = stop
 
 
 def _unrank(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,34 +201,20 @@ def sample_er_graph(n: int, p: float, seed=None) -> ComparisonGraph:
     return ComparisonGraph(n=n, i=np.repeat(np.arange(n, dtype=np.int64), rows), j=j, p=p)
 
 
-def _row_blocks(n: int) -> tuple[list[int], list[int]]:
-    """Packed row starts plus the triangle's length, and row-block bounds.
-
-    Block t is rows ``bounds[t]..bounds[t+1]``: at most ``_PAIR_BLOCK`` pairs
-    unless one row is longer, and never the empty row n - 1.
-    """
-    ends = row_starts(n).tolist() + [pair_count(n)]
-    bounds = [0]
-    while (first := bounds[-1]) < n - 1:
-        fits = bisect_right(ends, ends[first] + _PAIR_BLOCK) - 1
-        bounds.append(min(n - 1, max(first + 1, fits)))
-    return ends, bounds
-
-
 def rho_from_theta(theta: np.ndarray, link: LinkFunction) -> ProbMatrix:
     """Parametric probabilities rho[i,j] = F(theta_i - theta_j).
 
     Differences are filled and evaluated in place one row block at a time.
     """
     theta = np.asarray(theta, dtype=float)
-    ends, bounds = _row_blocks(len(theta))
-    upper = np.empty(ends[-1])
-    for first, stop in zip(bounds, bounds[1:]):
-        for i in range(first, stop):
-            np.subtract(theta[i], theta[i + 1:], out=upper[ends[i]:ends[i + 1]])
-        block = upper[ends[first]:ends[stop]]
+    n = len(theta)
+    upper = np.empty(pair_count(n))
+    for first, ends in row_blocks(n):
+        for i, (a, b) in enumerate(zip(ends, ends[1:]), first):
+            np.subtract(theta[i], theta[i + 1:], out=upper[a:b])
+        block = upper[ends[0]:ends[-1]]
         block[:] = link.eval(block)
-    return ProbMatrix(n=len(theta), upper=upper)
+    return ProbMatrix(n=n, upper=upper)
 
 
 def sample_edge_outcomes(graph: ComparisonGraph, rho: ProbMatrix, seed=None) -> EdgeDataset:

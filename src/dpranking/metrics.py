@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .data import ProbMatrix, _row_blocks
+from .data import ProbMatrix, row_blocks
 
 LOG_ERROR_FLOOR = -50.0
 
@@ -21,26 +21,23 @@ def tau(rho: ProbMatrix) -> np.ndarray:
     """tau_i = (1/n) sum_j rho_ij, diagonal included, from exact row sums.
 
     Dense row i sums to R_i + 1/2 + i - C_i, where R_i and C_i are the sums of
-    packed row i and packed column i. Each entry is rounded to a multiple of
-    2**-s, s = 62 - n.bit_length(), and summed as an int64 (every partial sum
-    stays below n * 2**s < 2**62), so the sums do not depend on order and one
-    row block of the triangle is read at a time. tau is within 2**-(s+1) plus
-    float rounding of the exact row mean, and rows holding the same values
-    (equal-theta items, the blocks of ``two_block_rho``) tie exactly.
+    packed row i and packed column i, read one row block at a time. Entries are
+    rounded to multiples of 2**-s, s = 62 - n.bit_length(), and summed as int64
+    (every partial sum stays below n * 2**s < 2**62), so the sums are exact and
+    order-free. tau is within 2**-(s+1) plus float rounding of the exact row
+    mean, and rows holding the same values (equal-theta items, the blocks of
+    ``two_block_rho``) tie exactly.
     """
-    n, upper = rho.n, rho.upper
+    n, upper = int(rho.n), rho.upper
     s = 62 - n.bit_length()
-    ends, bounds = _row_blocks(n)
-    rows = np.zeros(n, dtype=np.int64)
-    cols = np.zeros(n, dtype=np.int64)
-    for first, stop in zip(bounds, bounds[1:]):
-        base = ends[first]
-        q = np.rint(np.ldexp(upper[base:ends[stop]], s)).astype(np.int64)
-        rows[first:stop] = np.add.reduceat(q, np.subtract(ends[first:stop], base))
-        for i in range(first, stop):
-            cols[i + 1:] += q[ends[i] - base:ends[i + 1] - base]
     # 2**s * (R_i + 1/2 + i - C_i), exact
-    total = rows - cols + (2 * np.arange(n, dtype=np.int64) + 1 << s - 1)
+    total = (2 * np.arange(n, dtype=np.int64) + 1) << (s - 1)
+    for first, ends in row_blocks(n):
+        runs = [end - ends[0] for end in ends]
+        q = np.rint(np.ldexp(upper[ends[0]:ends[-1]], s)).astype(np.int64)
+        total[first:first + len(runs) - 1] += np.add.reduceat(q, runs[:-1])
+        for i, (a, b) in enumerate(zip(runs, runs[1:]), first):
+            total[i + 1:] -= q[a:b]
     return np.ldexp(total.astype(float), -s) / n
 
 

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dpranking import data as data_mod
 from dpranking.data import (_DRAW_CHUNK, _PAIR_BLOCK, ComparisonGraph,
-                            IndividualDataset, ProbMatrix, _row_blocks, _unrank,
-                            generate_theta, pair_arrays, pair_count, rho_from_theta,
+                            IndividualDataset, ProbMatrix, _unrank, generate_theta,
+                            pair_arrays, pair_count, rho_from_theta, row_blocks,
                             row_starts, sample_edge_outcomes, sample_er_graph,
                             sample_individual, two_block_rho)
 from dpranking.links import logistic_link
@@ -50,10 +50,24 @@ class TestPackedPaths:
     @given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1))
     @example(n=1200, seed=0)  # several row blocks
     def test_tau_is_dense_row_mean(self, n, seed):
+        # on a 2**-10 grid every summation order is exact, numpy's pairwise one too
+        grid = np.random.default_rng(seed).integers(0, 2**10 + 1, pair_count(n))
+        pm = ProbMatrix(n=n, upper=grid / 2**10)
+        assert np.array_equal(tau(pm), dense(pm).mean(axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1))
+    @example(n=1200, seed=0)
+    def test_tau_is_near_the_exact_row_mean(self, n, seed):
         pm = ProbMatrix(n=n, upper=np.random.default_rng(seed).random(pair_count(n)))
         exact = np.array([math.fsum(row) / n for row in dense(pm)])
         s = 62 - n.bit_length()
         assert np.max(np.abs(tau(pm) - exact)) <= 2.0**-(s + 1) + 2.0**-51
+
+    def test_tau_takes_a_numpy_integer_n(self):
+        upper = np.random.default_rng(0).random(pair_count(5))
+        assert np.array_equal(tau(ProbMatrix(n=np.int64(5), upper=upper)),
+                              tau(ProbMatrix(n=5, upper=upper)))
 
     @pytest.mark.parametrize("n", [2047, 2048, 4095, 4096])
     def test_tau_of_a_total_order_is_exact(self, n):
@@ -66,8 +80,7 @@ class TestPackedPaths:
 
     def test_tau_ties_equal_theta_across_row_blocks(self, link):
         n, k = 1200, 300
-        _, bounds = _row_blocks(n)
-        assert sum(b < k for b in bounds) > 2
+        assert sum(first < k for first, _ in row_blocks(n)) > 2
         theta = generate_theta(n, k, seed=4, top_inclusive=True)
         scores = tau(rho_from_theta(theta, link))
         assert np.all(scores[:k] == scores[0])
@@ -75,12 +88,14 @@ class TestPackedPaths:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 363, 364, 1200, 5000, 70000])
     def test_row_blocks_cover_the_nonempty_rows(self, n):
-        ends, bounds = _row_blocks(n)
-        assert ends == row_starts(n).tolist() + [pair_count(n)]
-        assert bounds[0] == 0 and bounds[-1] == max(n - 1, 0)
-        for first, stop in zip(bounds, bounds[1:]):
-            assert first < stop and ends[stop] > ends[stop - 1]
-            assert ends[stop] - ends[first] <= _PAIR_BLOCK or stop == first + 1
+        ends = row_starts(n).tolist() + [pair_count(n)]
+        rows = []
+        for first, runs in row_blocks(n):
+            assert runs == ends[first:first + len(runs)] and len(runs) > 1
+            assert all(a < b for a, b in zip(runs, runs[1:]))
+            assert runs[-1] - runs[0] <= _PAIR_BLOCK or len(runs) == 2
+            rows += range(first, first + len(runs) - 1)
+        assert rows == list(range(n - 1))
 
     @pytest.mark.parametrize("n", [1200, 5000])
     def test_rho_from_theta_matches_pair_gather_across_blocks(self, link, n):
