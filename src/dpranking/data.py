@@ -1,8 +1,9 @@
 """Comparison graphs, datasets, win-probability matrices, and generators.
 
 All generators are pure functions of their parameters and a seed, so sweeps
-can be reproduced trial by trial. Probability matrices store only the strict
-upper triangle; the skew-symmetry rho[i,j] + rho[j,i] = 1 is structural.
+can be reproduced trial by trial. A parametric probability matrix is theta and
+the link, evaluated where it is read; only an explicit one stores the strict
+upper triangle. The skew-symmetry rho[i,j] + rho[j,i] = 1 is structural.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .links import LinkFunction
 
 # most gaps drawn per call in sample_er_graph
 _DRAW_CHUNK = 1 << 20
-# most pairs per row block in rho_from_theta and tau, so temporaries stay small
+# most pairs per row block in ProbMatrix.blocks, so temporaries stay small
 _PAIR_BLOCK = 1 << 16
 
 
@@ -72,17 +73,51 @@ def _unrank(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ProbMatrix:
-    """Win probabilities stored as the strict upper triangle (i < j)."""
+    """Win probabilities rho[i, j] for i < j, read through ``at`` and ``blocks``.
+
+    Explicit: the strict upper triangle ``upper``. Parametric: ``theta`` and
+    ``link``, with rho[i, j] = link.eval(theta_i - theta_j).
+    """
 
     n: int
-    upper: np.ndarray  # length n*(n-1)//2, entries in [0, 1]
+    upper: np.ndarray | None = None  # length n*(n-1)//2, entries in [0, 1]
+    theta: np.ndarray | None = None
+    link: LinkFunction | None = None
 
     def __post_init__(self):
+        if self.upper is None:
+            # finite theta keeps every F(theta_i - theta_j) a probability
+            if (self.link is None or np.shape(self.theta) != (self.n,)
+                    or not np.isfinite(self.theta).all()):
+                raise ValueError("probabilities need a link and n finite theta values")
+            return
         if self.upper.shape != (pair_count(self.n),):
             raise ValueError("upper triangle has wrong length")
         # written so that NaN fails it
         if self.upper.size and not (self.upper.min() >= 0 and self.upper.max() <= 1):
             raise ValueError("probabilities must lie in [0, 1]")
+
+    def at(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """rho[i, j] at the pairs i < j."""
+        if self.upper is None:
+            return self.link.eval(self.theta[i] - self.theta[j])
+        return self.upper[row_starts(self.n)[i] + j - i - 1]
+
+    def blocks(self) -> Iterator[tuple[int, list[int], np.ndarray]]:
+        """``(first, ends, values)`` for each of ``row_blocks(n)``.
+
+        ``values`` is the packed run ``ends[0]:ends[-1]``. A parametric block is
+        filled row by row into one reused buffer and passed through the link once.
+        """
+        if self.upper is not None:
+            for first, ends in row_blocks(self.n):
+                yield first, ends, self.upper[ends[0]:ends[-1]]
+            return
+        buf = np.empty(max(_PAIR_BLOCK, self.n))
+        for first, ends in row_blocks(self.n):
+            for i, (a, b) in enumerate(zip(ends, ends[1:]), first):
+                np.subtract(self.theta[i], self.theta[i + 1:], out=buf[a - ends[0]:b - ends[0]])
+            yield first, ends, self.link.eval(buf[:ends[-1] - ends[0]])
 
 
 @dataclass(frozen=True)
@@ -202,19 +237,9 @@ def sample_er_graph(n: int, p: float, seed=None) -> ComparisonGraph:
 
 
 def rho_from_theta(theta: np.ndarray, link: LinkFunction) -> ProbMatrix:
-    """Parametric probabilities rho[i,j] = F(theta_i - theta_j).
-
-    Differences are filled and evaluated in place one row block at a time.
-    """
-    theta = np.asarray(theta, dtype=float)
-    n = len(theta)
-    upper = np.empty(pair_count(n))
-    for first, ends in row_blocks(n):
-        for i, (a, b) in enumerate(zip(ends, ends[1:]), first):
-            np.subtract(theta[i], theta[i + 1:], out=upper[a:b])
-        block = upper[ends[0]:ends[-1]]
-        block[:] = link.eval(block)
-    return ProbMatrix(n=n, upper=upper)
+    """Parametric rho[i,j] = F(theta_i - theta_j), held in O(n) as a copy of theta."""
+    theta = np.array(theta, dtype=float)
+    return ProbMatrix(n=len(theta), theta=theta, link=link)
 
 
 def sample_edge_outcomes(graph: ComparisonGraph, rho: ProbMatrix, seed=None) -> EdgeDataset:
@@ -222,9 +247,7 @@ def sample_edge_outcomes(graph: ComparisonGraph, rho: ProbMatrix, seed=None) -> 
     if graph.n != rho.n:
         raise ValueError("graph and rho sizes differ")
     rng = np.random.default_rng(seed)
-    i, j = graph.i.astype(np.int64, copy=False), graph.j.astype(np.int64, copy=False)
-    probs = rho.upper[row_starts(graph.n)[i] + j - i - 1]
-    y = (rng.random(graph.n_edges) < probs).astype(np.int8)
+    y = (rng.random(graph.n_edges) < rho.at(graph.i, graph.j)).astype(np.int8)
     return EdgeDataset(graph=graph, y=y)
 
 
@@ -239,8 +262,7 @@ def sample_individual(n: int, m: int, L: int, rho: ProbMatrix, seed=None) -> Ind
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, pair_count(n), size=m * L)
     i, j = _unrank(n, idx)
-    probs = rho.upper[idx]
-    y = (rng.random(m * L) < probs).astype(np.int8)
+    y = (rng.random(m * L) < rho.at(i, j)).astype(np.int8)
     return IndividualDataset(n=n, m=m, L=L, i=i, j=j, y=y)
 
 

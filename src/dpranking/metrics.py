@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .data import ProbMatrix, row_blocks
+from .data import ProbMatrix
 
 LOG_ERROR_FLOOR = -50.0
 
@@ -21,20 +21,21 @@ def tau(rho: ProbMatrix) -> np.ndarray:
     """tau_i = (1/n) sum_j rho_ij, diagonal included, from exact row sums.
 
     Dense row i sums to R_i + 1/2 + i - C_i, where R_i and C_i are the sums of
-    packed row i and packed column i, read one row block at a time. Entries are
+    packed row i and packed column i, read one ``rho.blocks()`` block at a time
+    (a parametric rho is evaluated there, block by block). Entries are
     rounded to multiples of 2**-s, s = 62 - n.bit_length(), and summed as int64
     (every partial sum stays below n * 2**s < 2**62), so the sums are exact and
     order-free. tau is within 2**-(s+1) plus float rounding of the exact row
     mean, and rows holding the same values (equal-theta items, the blocks of
     ``two_block_rho``) tie exactly.
     """
-    n, upper = int(rho.n), rho.upper
+    n = int(rho.n)
     s = 62 - n.bit_length()
     # 2**s * (R_i + 1/2 + i - C_i), exact
     total = (2 * np.arange(n, dtype=np.int64) + 1) << (s - 1)
-    for first, ends in row_blocks(n):
+    for first, ends, values in rho.blocks():
         runs = [end - ends[0] for end in ends]
-        q = np.rint(np.ldexp(upper[ends[0]:ends[-1]], s)).astype(np.int64)
+        q = np.rint(np.ldexp(values, s)).astype(np.int64)
         total[first:first + len(runs) - 1] += np.add.reduceat(q, runs[:-1])
         for i, (a, b) in enumerate(zip(runs, runs[1:]), first):
             total[i + 1:] -= q[a:b]

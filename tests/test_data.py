@@ -29,18 +29,45 @@ def dense(pm: ProbMatrix) -> np.ndarray:
     return rho
 
 
+def peak_bytes(fn, *args) -> int:
+    """The tracemalloc peak of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestProbMatrix:
-    def test_rejects_bad_shapes_and_values(self):
+    def test_rejects_bad_shapes_and_values(self, link):
         with pytest.raises(ValueError):
             ProbMatrix(n=4, upper=np.zeros(5))
         with pytest.raises(ValueError):
             ProbMatrix(n=3, upper=np.array([0.5, 1.2, 0.5]))
+        for bad in (dict(), dict(theta=np.zeros(3)), dict(theta=np.zeros(2), link=link),
+                    dict(theta=np.zeros((3, 1)), link=link)):
+            with pytest.raises(ValueError, match="probabilities"):
+                ProbMatrix(n=3, **bad)
 
     def test_rejects_nan(self, link):
         with pytest.raises(ValueError, match="probabilities"):
             ProbMatrix(n=2, upper=np.array([np.nan]))
         with pytest.raises(ValueError, match="probabilities"):
             rho_from_theta(np.array([0.0, np.nan, 1.0]), link)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinite_theta(self, link, bad):
+        # one infinity meets only finite entries, so no difference is NaN
+        with pytest.raises(ValueError, match="probabilities"):
+            rho_from_theta(np.array([0.0, bad, 1.0]), link)
+
+    def test_parametric_rho_copies_theta(self, link):
+        theta = np.array([1.0, -1.0, 0.0])
+        pm = rho_from_theta(theta, link)
+        before = pm.at(*pair_arrays(3))
+        theta[:] = [np.nan, 5.0, -5.0]
+        assert np.array_equal(pm.at(*pair_arrays(3)), before)
 
 
 class TestPackedPaths:
@@ -102,33 +129,39 @@ class TestPackedPaths:
         # several row blocks, the last ending at the triangle's end
         assert pair_count(n) > 4 * _PAIR_BLOCK
         theta = np.random.default_rng(n).normal(scale=3.0, size=n)
-        upper = rho_from_theta(theta, link).upper
+        rho = rho_from_theta(theta, link)
         iu, ju = pair_arrays(n)
         for a in range(0, len(iu), 10**6):
             b = a + 10**6
-            assert np.array_equal(upper[a:b], link.eval(theta[iu[a:b]] - theta[ju[a:b]]))
+            assert np.array_equal(rho.at(iu[a:b], ju[a:b]),
+                                  link.eval(theta[iu[a:b]] - theta[ju[a:b]]))
 
-    def test_rho_from_theta_peak_memory_is_near_the_triangle(self, link):
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_parametric_blocks_match_at(self, link, n):
+        rho = rho_from_theta(np.random.default_rng(n).normal(scale=3.0, size=n), link)
+        iu, ju = pair_arrays(n)
+        done = 0
+        for first, ends, values in rho.blocks():
+            assert ends[0] == done and iu[done] == first
+            done = ends[-1]
+            assert np.array_equal(values, rho.at(iu[ends[0]:done], ju[ends[0]:done]))
+        assert done == pair_count(n)
+
+    def test_rho_from_theta_peak_memory_is_linear_in_n(self, link):
         n = 2000
         theta = np.random.default_rng(0).normal(size=n)
-        tracemalloc.start()
-        try:
-            rho_from_theta(theta, link)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * pair_count(n) * 8
+        assert peak_bytes(rho_from_theta, theta, link) < 4 * n * 8
+
+    def test_tau_of_parametric_rho_peaks_at_a_few_blocks(self, link):
+        n = 2000
+        pm = rho_from_theta(np.random.default_rng(0).normal(size=n), link)
+        # the triangle alone would be 16 MB
+        assert peak_bytes(tau, pm) < 8 * _PAIR_BLOCK * 8
 
     def test_tau_peak_memory_is_below_a_quarter_of_dense(self):
         n = 2000
         pm = ProbMatrix(n=n, upper=np.random.default_rng(0).random(pair_count(n)))
-        tracemalloc.start()
-        try:
-            tau(pm)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8 / 4
+        assert peak_bytes(tau, pm) < n * n * 8 / 4
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
@@ -136,7 +169,7 @@ class TestPackedPaths:
         theta = np.random.default_rng(seed).normal(scale=3.0, size=n)
         iu, ju = pair_arrays(n)
         expected = link.eval(theta[iu] - theta[ju])
-        assert np.array_equal(rho_from_theta(theta, link).upper, expected)
+        assert np.array_equal(rho_from_theta(theta, link).at(iu, ju), expected)
 
     @pytest.mark.parametrize("n, p", [(2, 1.0), (7, 0.5), (60, 0.05), (200, 0.3),
                                       (1500, 0.01), (1500, 0.9), (1500, 1.0)])
@@ -237,12 +270,13 @@ class TestGraphSampling:
 class TestRhoFromTheta:
     def test_equal_strengths(self, link):
         pm = rho_from_theta(np.zeros(2), link)
-        assert pm.upper[0] == pytest.approx(0.5)
+        assert pm.at(*pair_arrays(2))[0] == pytest.approx(0.5)
 
     def test_known_value(self, link):
         pm = rho_from_theta(np.array([1.0, -1.0]), link)
-        assert pm.upper[0] == pytest.approx(1.0 / (1.0 + np.exp(-2)), abs=1e-9)
-        assert pm.upper[0] == pytest.approx(0.880797, abs=1e-6)
+        value = pm.at(*pair_arrays(2))[0]
+        assert value == pytest.approx(1.0 / (1.0 + np.exp(-2)), abs=1e-9)
+        assert value == pytest.approx(0.880797, abs=1e-6)
 
     def test_ordering_preserved_in_tau(self, link):
         rng = np.random.default_rng(5)

@@ -3,6 +3,7 @@ import json
 from dataclasses import replace
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from dpranking.data import generate_theta, rho_from_theta
 from dpranking.harness import (AdjacencyModelError, ExperimentConfig,
-                               ParseError, eps_token, ingest,
+                               ParseError, _trial_records, eps_token, ingest,
                                max_mean_rank_diff, parse_eps, preset_config,
                                real_data_eval, run_experiment, substream,
                                write_records_csv)
@@ -30,6 +31,21 @@ def test_true_topk_is_theta_stars_top_k(n):
         theta = generate_theta(n, k, seed=seed, top_inclusive=True)
         expected = true_topk(tau(rho_from_theta(theta, logistic_link())), k)
         assert np.array_equal(rank_from_scores(theta, k), expected)
+
+
+def test_sparse_edge_trial_holds_no_triangle():
+    # at n = 20000 the n(n-1)/2 probabilities alone would take 1.6 GB
+    n = 20000
+    p = 2 * math.log(n) / n
+    cfg = ExperimentConfig(preset="custom", regime="edge", n_values=(n,),
+                           p_values=(p,), epsilon_values=(1.0,), trials=1)
+    tracemalloc.start()
+    try:
+        _trial_records(cfg, n, p, None, 1.0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 class TestEpsTokens:
