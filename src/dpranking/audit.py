@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import noise_scale, win_counts
-from .data import ComparisonGraph, EdgeDataset, IndividualDataset, pair_arrays
+from .data import (ComparisonGraph, EdgeDataset, IndividualDataset, pair_arrays,
+                   pair_count, unrank)
 from .metrics import descending_order
 
 MIN_EPSILON_SAMPLES = 100_000
@@ -98,6 +99,8 @@ def replace_user(data: IndividualDataset, user: int, records) -> IndividualDatas
     """Replace one user's full bundle of L records with ``records``, (i, j, y) arrays."""
     if not 0 <= user < data.m:
         raise ValueError("user out of range")
+    if any(np.shape(field) != (data.L,) for field in records):
+        raise ValueError(f"each of (i, j, y) must hold exactly L={data.L} records")
     i_new, j_new, y_new = (data.i.copy(), data.j.copy(), data.y.copy())
     s = data.user_slice(user)
     i_new[s], j_new[s], y_new[s] = records
@@ -112,12 +115,11 @@ def user_replacement_pairs(data: IndividualDataset, count: int, seed=None
     Each replaced bundle holds L uniform pairs with fair-coin outcomes.
     """
     rng = np.random.default_rng(seed)
-    iu, ju = pair_arrays(data.n)
     pairs = []
     for _ in range(count):
         user = int(rng.integers(0, data.m))
-        idx = rng.integers(0, len(iu), size=data.L)
-        records = (iu[idx], ju[idx], (rng.random(data.L) < 0.5).astype(np.int8))
+        idx = rng.integers(0, pair_count(data.n), size=data.L)
+        records = unrank(data.n, idx) + ((rng.random(data.L) < 0.5).astype(np.int8),)
         pairs.append(AdjacentPair(data, replace_user(data, user, records),
                                   "user-replacement"))
     return pairs
@@ -178,12 +180,20 @@ class CountTopKMechanism:
     regime: str
     L: int = 1
 
+    def __post_init__(self):
+        # with no item to pick, the output never changes and any audit passes
+        if self.k < 1:
+            raise ValueError(f"k={self.k} must be >= 1")
+
     def output_masks(self, data, samples: int, rng: np.random.Generator) -> np.ndarray:
         """Encoded top-k sets (bitmask over items) for ``samples`` replays."""
         counts = win_counts(data).astype(float)
         n = len(counts)
         if n > 62:
             raise ValueError("bitmask encoding limited to n <= 62")
+        # picking every item is one fixed output, which no replay can tell apart
+        if self.k >= n:
+            raise ValueError(f"k={self.k} must be below n={n}")
         scale = noise_scale(self.epsilon, self.regime, self.L)
         if scale == 0.0:
             noisy = np.broadcast_to(counts, (samples, n))

@@ -3,13 +3,14 @@
 All generators are pure functions of their parameters and a seed, so sweeps
 can be reproduced trial by trial. A parametric probability matrix is theta and
 the link, evaluated where it is read; only an explicit one stores the strict
-upper triangle. The skew-symmetry rho[i,j] + rho[j,i] = 1 is structural.
+upper triangle. The skew-symmetry rho[i,j] + rho[j,i] = 1 is structural for an
+explicit matrix, whose lower triangle reads 1 - upper. A parametric dense row
+holds F(theta_i - theta_j), which is skew-symmetric up to rounding.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -19,8 +20,9 @@ from .links import LinkFunction
 
 # most gaps drawn per call in sample_er_graph
 _DRAW_CHUNK = 1 << 20
-# most pairs per row block in ProbMatrix.blocks, so temporaries stay small
-_PAIR_BLOCK = 1 << 16
+# most entries per block of ProbMatrix.rows (unless one row is longer), so
+# each temporary stays within glibc's default 128 KiB mmap threshold
+_ROW_BLOCK = 1 << 14
 
 
 def pair_count(n: int) -> int:
@@ -41,23 +43,7 @@ def row_starts(n: int) -> np.ndarray:
     return i * (2 * n - i - 1) // 2
 
 
-def row_blocks(n: int) -> Iterator[tuple[int, list[int]]]:
-    """The packed triangle's rows 0..n-2 in blocks of whole rows.
-
-    Yields ``(first, ends)``: row ``first + t`` is the packed run
-    ``ends[t]:ends[t + 1]`` and the block is ``ends[0]:ends[-1]``, at most
-    ``_PAIR_BLOCK`` pairs unless its one row is longer.
-    """
-    ends = row_starts(n).tolist() + [pair_count(n)]
-    first = 0
-    while first < n - 1:
-        fits = bisect_right(ends, ends[first] + _PAIR_BLOCK) - 1
-        stop = min(n - 1, max(first + 1, fits))
-        yield first, ends[first:stop + 1]
-        first = stop
-
-
-def _unrank(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def unrank(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (i, j) at packed positions ``idx``, in closed form.
 
     Counted from the end, position k = N - 1 - idx lies in the t-th row from
@@ -73,7 +59,7 @@ def _unrank(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ProbMatrix:
-    """Win probabilities rho[i, j] for i < j, read through ``at`` and ``blocks``.
+    """Win probabilities rho[i, j], read through ``at`` and ``rows``.
 
     Explicit: the strict upper triangle ``upper``. Parametric: ``theta`` and
     ``link``, with rho[i, j] = link.eval(theta_i - theta_j).
@@ -103,21 +89,28 @@ class ProbMatrix:
             return self.link.eval(self.theta[i] - self.theta[j])
         return self.upper[row_starts(self.n)[i] + j - i - 1]
 
-    def blocks(self) -> Iterator[tuple[int, list[int], np.ndarray]]:
-        """``(first, ends, values)`` for each of ``row_blocks(n)``.
+    def rows(self) -> Iterator[np.ndarray]:
+        """The dense n x n matrix, 1/2 on the diagonal, in blocks of whole rows.
 
-        ``values`` is the packed run ``ends[0]:ends[-1]``. A parametric block is
-        filled row by row into one reused buffer and passed through the link once.
+        Each block holds ``max(1, _ROW_BLOCK // n)`` rows (fewer at the end).
+        A parametric block is link.eval(theta_i - theta_j), whose diagonal is
+        F(0) = 1/2 for a symmetric link; an explicit one reads ``upper`` above
+        the diagonal and 1 - ``upper`` below it.
         """
-        if self.upper is not None:
-            for first, ends in row_blocks(self.n):
-                yield first, ends, self.upper[ends[0]:ends[-1]]
-            return
-        buf = np.empty(max(_PAIR_BLOCK, self.n))
-        for first, ends in row_blocks(self.n):
-            for i, (a, b) in enumerate(zip(ends, ends[1:]), first):
-                np.subtract(self.theta[i], self.theta[i + 1:], out=buf[a - ends[0]:b - ends[0]])
-            yield first, ends, self.link.eval(buf[:ends[-1] - ends[0]])
+        n = self.n
+        step = max(1, _ROW_BLOCK // n)
+        j = np.arange(n)
+        starts = row_starts(n) - 1
+        for a in range(0, n, step):
+            if self.upper is None:
+                yield self.link.eval(self.theta[a:a + step, None] - self.theta)
+                continue
+            i = j[a:a + step, None]
+            block = np.full((len(i), n), 0.5)
+            above, below = i < j, i > j
+            block[above] = self.upper[(starts[i] + j - i)[above]]
+            block[below] = 1.0 - self.upper[(starts[j] + i - j)[below]]
+            yield block
 
 
 @dataclass(frozen=True)
@@ -261,7 +254,7 @@ def sample_individual(n: int, m: int, L: int, rho: ProbMatrix, seed=None) -> Ind
         raise ValueError("rho size differs from n")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, pair_count(n), size=m * L)
-    i, j = _unrank(n, idx)
+    i, j = unrank(n, idx)
     y = (rng.random(m * L) < rho.at(i, j)).astype(np.int8)
     return IndividualDataset(n=n, m=m, L=L, i=i, j=j, y=y)
 

@@ -18,28 +18,14 @@ LOG_ERROR_FLOOR = -50.0
 
 
 def tau(rho: ProbMatrix) -> np.ndarray:
-    """tau_i = (1/n) sum_j rho_ij, diagonal included, from exact row sums.
+    """tau_i = (1/n) sum_j rho_ij, diagonal included: numpy's mean of dense row i.
 
-    Dense row i sums to R_i + 1/2 + i - C_i, where R_i and C_i are the sums of
-    packed row i and packed column i, read one ``rho.blocks()`` block at a time
-    (a parametric rho is evaluated there, block by block). Entries are
-    rounded to multiples of 2**-s, s = 62 - n.bit_length(), and summed as int64
-    (every partial sum stays below n * 2**s < 2**62), so the sums are exact and
-    order-free. tau is within 2**-(s+1) plus float rounding of the exact row
-    mean, and rows holding the same values (equal-theta items, the blocks of
+    The dense rows come from ``rho.rows()`` a block at a time (a parametric rho
+    is evaluated there), so tau is bit-equal to ``dense.mean(axis=1)`` and rows
+    holding the same values (equal-theta items, the blocks of
     ``two_block_rho``) tie exactly.
     """
-    n = int(rho.n)
-    s = 62 - n.bit_length()
-    # 2**s * (R_i + 1/2 + i - C_i), exact
-    total = (2 * np.arange(n, dtype=np.int64) + 1) << (s - 1)
-    for first, ends, values in rho.blocks():
-        runs = [end - ends[0] for end in ends]
-        q = np.rint(np.ldexp(values, s)).astype(np.int64)
-        total[first:first + len(runs) - 1] += np.add.reduceat(q, runs[:-1])
-        for i, (a, b) in enumerate(zip(runs, runs[1:]), first):
-            total[i + 1:] -= q[a:b]
-    return np.ldexp(total.astype(float), -s) / n
+    return np.concatenate([block.mean(axis=1) for block in rho.rows()])
 
 
 def descending_order(scores) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from dpranking.audit import (AdjacentPair, CountTopKMechanism,
                              estimate_epsilon, extremal_user_pair, replace_user,
                              sensitivity_check, user_replacement_pairs)
 from dpranking.data import (ComparisonGraph, EdgeDataset, IndividualDataset,
-                            ProbMatrix, pair_arrays, pair_count, sample_edge_outcomes,
-                            sample_er_graph, sample_individual)
+                            ProbMatrix, pair_arrays, pair_count, rho_from_theta,
+                            sample_edge_outcomes, sample_er_graph, sample_individual)
+from dpranking.links import logistic_link
 
 # allowance for sampling error in a frequency-based epsilon estimate
 SLACK = 0.1
@@ -122,6 +124,27 @@ class TestUserReplacement:
             assert p.base is data and p.adjacency_kind == "user-replacement"
         assert rng.random() == twin.random()
 
+    def test_large_n_draws_without_the_pair_list(self):
+        # pair_arrays(5000) alone would take about 200 MB
+        pm = rho_from_theta(np.zeros(5000), logistic_link())
+        data = sample_individual(5000, 4, 3, pm, seed=0)
+        tracemalloc.start()
+        try:
+            pairs = user_replacement_pairs(data, 2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.all(pairs[0].variant.i < pairs[0].variant.j)
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_bundle_must_hold_L_records(self, field):
+        data = sample_individual(4, 3, 2, ProbMatrix(n=4, upper=np.full(6, 0.5)), seed=0)
+        records = [np.array([0, 0]), np.array([1, 2]), np.array([1, 0], dtype=np.int8)]
+        records[field] = records[field][:1]
+        with pytest.raises(ValueError, match="L=2"):
+            replace_user(data, 1, tuple(records))
+
 
 class TestSensitivity:
     def test_flip_moves_one_win(self):
@@ -210,6 +233,18 @@ class TestEstimateEpsilon:
         mech = CountTopKMechanism(k=1, epsilon=math.inf, regime="edge")
         est = estimate_epsilon(mech, self._pair(), samples=100_000, seed=2)
         assert est.nonprivate_flag
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(ValueError, match=f"k={k}"):
+            CountTopKMechanism(k=k, epsilon=1.0, regime="edge")
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_rejects_k_at_least_n(self, k):
+        # with all n items picked every replay gives one output, so eps_hat would read 0
+        mech = CountTopKMechanism(k=k, epsilon=1.0, regime="edge")
+        with pytest.raises(ValueError, match=f"k={k}"):
+            estimate_epsilon(mech, self._pair(), samples=100_000, seed=0)
 
     def test_mask_encoding_limit(self):
         mech = CountTopKMechanism(k=1, epsilon=1.0, regime="edge")

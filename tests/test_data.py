@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpranking import data as data_mod
-from dpranking.data import (_DRAW_CHUNK, _PAIR_BLOCK, ComparisonGraph,
-                            IndividualDataset, ProbMatrix, _unrank, generate_theta,
-                            pair_arrays, pair_count, rho_from_theta, row_blocks,
-                            row_starts, sample_edge_outcomes, sample_er_graph,
+from dpranking.data import (_DRAW_CHUNK, _ROW_BLOCK, ComparisonGraph,
+                            IndividualDataset, ProbMatrix, unrank, generate_theta,
+                            pair_arrays, pair_count, rho_from_theta, row_starts, sample_edge_outcomes, sample_er_graph,
                             sample_individual, two_block_rho)
 from dpranking.links import logistic_link
 from dpranking.metrics import tau
@@ -77,19 +76,20 @@ class TestPackedPaths:
     @given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1))
     @example(n=1200, seed=0)  # several row blocks
     def test_tau_is_dense_row_mean(self, n, seed):
-        # on a 2**-10 grid every summation order is exact, numpy's pairwise one too
-        grid = np.random.default_rng(seed).integers(0, 2**10 + 1, pair_count(n))
-        pm = ProbMatrix(n=n, upper=grid / 2**10)
+        pm = ProbMatrix(n=n, upper=np.random.default_rng(seed).random(pair_count(n)))
         assert np.array_equal(tau(pm), dense(pm).mean(axis=1))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1))
     @example(n=1200, seed=0)
-    def test_tau_is_near_the_exact_row_mean(self, n, seed):
-        pm = ProbMatrix(n=n, upper=np.random.default_rng(seed).random(pair_count(n)))
-        exact = np.array([math.fsum(row) / n for row in dense(pm)])
-        s = 62 - n.bit_length()
-        assert np.max(np.abs(tau(pm) - exact)) <= 2.0**-(s + 1) + 2.0**-51
+    def test_tau_of_parametric_rho_is_dense_row_mean(self, link, n, seed):
+        theta = np.random.default_rng(seed).normal(scale=3.0, size=n)
+        assert np.array_equal(tau(rho_from_theta(theta, link)),
+                              link.eval(theta[:, None] - theta).mean(axis=1))
+
+    def test_tau_of_one_item_is_a_half(self, link):
+        assert np.array_equal(tau(ProbMatrix(n=1, upper=np.zeros(0))), [0.5])
+        assert np.array_equal(tau(rho_from_theta(np.zeros(1), link)), [0.5])
 
     def test_tau_takes_a_numpy_integer_n(self):
         upper = np.random.default_rng(0).random(pair_count(5))
@@ -98,7 +98,6 @@ class TestPackedPaths:
 
     @pytest.mark.parametrize("n", [2047, 2048, 4095, 4096])
     def test_tau_of_a_total_order_is_exact(self, n):
-        # each n.bit_length() step moves the fixed point; the sums use its full range
         i = np.arange(n)
         assert np.array_equal(tau(ProbMatrix(n=n, upper=np.ones(pair_count(n)))),
                               (n - i - 0.5) / n)
@@ -107,27 +106,14 @@ class TestPackedPaths:
 
     def test_tau_ties_equal_theta_across_row_blocks(self, link):
         n, k = 1200, 300
-        assert sum(first < k for first, _ in row_blocks(n)) > 2
+        assert k > 2 * max(1, _ROW_BLOCK // n)
         theta = generate_theta(n, k, seed=4, top_inclusive=True)
         scores = tau(rho_from_theta(theta, link))
         assert np.all(scores[:k] == scores[0])
         assert np.all(scores[k:] < scores[0])
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 363, 364, 1200, 5000, 70000])
-    def test_row_blocks_cover_the_nonempty_rows(self, n):
-        ends = row_starts(n).tolist() + [pair_count(n)]
-        rows = []
-        for first, runs in row_blocks(n):
-            assert runs == ends[first:first + len(runs)] and len(runs) > 1
-            assert all(a < b for a, b in zip(runs, runs[1:]))
-            assert runs[-1] - runs[0] <= _PAIR_BLOCK or len(runs) == 2
-            rows += range(first, first + len(runs) - 1)
-        assert rows == list(range(n - 1))
-
     @pytest.mark.parametrize("n", [1200, 5000])
     def test_rho_from_theta_matches_pair_gather_across_blocks(self, link, n):
-        # several row blocks, the last ending at the triangle's end
-        assert pair_count(n) > 4 * _PAIR_BLOCK
         theta = np.random.default_rng(n).normal(scale=3.0, size=n)
         rho = rho_from_theta(theta, link)
         iu, ju = pair_arrays(n)
@@ -139,13 +125,31 @@ class TestPackedPaths:
     @pytest.mark.parametrize("n", [1200, 5000])
     def test_parametric_blocks_match_at(self, link, n):
         rho = rho_from_theta(np.random.default_rng(n).normal(scale=3.0, size=n), link)
-        iu, ju = pair_arrays(n)
-        done = 0
-        for first, ends, values in rho.blocks():
-            assert ends[0] == done and iu[done] == first
-            done = ends[-1]
-            assert np.array_equal(values, rho.at(iu[ends[0]:done], ju[ends[0]:done]))
-        assert done == pair_count(n)
+        a = 0
+        for rows in rho.rows():
+            for t, row in enumerate(rows, a):
+                assert row[t] == 0.5
+                assert np.array_equal(row[t + 1:], rho.at(np.full(n - t - 1, t),
+                                                          np.arange(t + 1, n)))
+            a += len(rows)
+        assert a == n
+
+    @pytest.mark.parametrize("block", [3, _ROW_BLOCK])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1200])
+    def test_rows_are_the_dense_matrix(self, link, monkeypatch, block, n):
+        # a 3-entry block holds one row once n > 3; 1200 leaves a short last block
+        monkeypatch.setattr(data_mod, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(n)
+        theta = rng.normal(scale=3.0, size=n)
+        explicit = ProbMatrix(n=n, upper=rng.random(pair_count(n)))
+        for rho, want in ((rho_from_theta(theta, link), link.eval(theta[:, None] - theta)),
+                          (explicit, dense(explicit))):
+            blocks = list(rho.rows())
+            step = max(1, block // n)
+            assert [len(rows) for rows in blocks] == [min(step, n - a)
+                                                      for a in range(0, n, step)]
+            assert np.array_equal(np.vstack(blocks), want)
+            assert np.all(np.diag(want) == 0.5)
 
     def test_rho_from_theta_peak_memory_is_linear_in_n(self, link):
         n = 2000
@@ -156,7 +160,7 @@ class TestPackedPaths:
         n = 2000
         pm = rho_from_theta(np.random.default_rng(0).normal(size=n), link)
         # the triangle alone would be 16 MB
-        assert peak_bytes(tau, pm) < 8 * _PAIR_BLOCK * 8
+        assert peak_bytes(tau, pm) < 8 * _ROW_BLOCK * 8
 
     def test_tau_peak_memory_is_below_a_quarter_of_dense(self):
         n = 2000
@@ -218,7 +222,7 @@ class TestPackedPaths:
         n = 3_000_000
         rows = np.arange(1, n - 1, 997)
         first = rows * (2 * n - rows - 1) // 2
-        i, j = _unrank(n, np.concatenate([first, first - 1]))
+        i, j = unrank(n, np.concatenate([first, first - 1]))
         assert np.array_equal(i, np.concatenate([rows, rows - 1]))
         assert np.array_equal(j, np.concatenate([rows + 1, np.full(len(rows), n - 1)]))
 
