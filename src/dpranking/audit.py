@@ -1,14 +1,13 @@
 """Empirical checks of the DP ingredients: sensitivity and epsilon estimation.
 
-The win-count vector has l1-sensitivity at most 2 over edge-adjacent
-datasets. Under user replacement, adjacent datasets differ in one user's
-whole bundle of L comparisons, so each count moves by at most L and the
-vector by at most 2L in l1. Both bounds are verified here on explicit
-adjacent pairs. For the discrete noisy-count top-k mechanism, an empirical
-epsilon lower bound is estimated from output frequencies on an adjacent pair.
-The perturbed MLE has a continuous output space and is excluded from
-frequency-based estimation; its audit is limited to the calibration
-invariants.
+Under user replacement, adjacent datasets differ in one user's whole bundle
+of L comparisons, so each win count moves by at most L and the vector by at
+most 2L in l1; edge adjacency is the L = 1 case. Both bounds are verified
+here on explicit adjacent pairs. For the discrete noisy-count top-k
+mechanism, an empirical epsilon lower bound is estimated from output
+frequencies on an adjacent pair. The perturbed MLE has a continuous output
+space and is excluded from frequency-based estimation; its audit is limited
+to the calibration invariants.
 """
 
 from __future__ import annotations
@@ -147,8 +146,8 @@ def extremal_user_pair(data: IndividualDataset, k: int) -> AdjacentPair:
 def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:
     """Max l1 and per-coordinate change of win counts over adjacent pairs.
 
-    Raises SensitivityViolation when an edge pair exceeds l1 = 2 or a
-    user-replacement pair exceeds per-coordinate L or l1 = 2L.
+    Raises SensitivityViolation when a pair moves a count by more than L or
+    the vector by more than 2L in l1, with L = 1 for an edge dataset.
     """
     max_l1 = 0.0
     max_coord = 0.0
@@ -158,15 +157,12 @@ def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:
         coord = float(np.abs(delta).max()) if len(delta) else 0.0
         max_l1 = max(max_l1, l1)
         max_coord = max(max_coord, coord)
-        if pair.adjacency_kind in ("edge-flip", "edge-swap") and l1 > 2:
-            raise SensitivityViolation(f"l1 sensitivity {l1} > 2", pair)
-        if pair.adjacency_kind == "user-replacement":
-            L = pair.base.L
-            if coord > L:
-                raise SensitivityViolation(
-                    f"per-coordinate sensitivity {coord} > L={L}", pair)
-            if l1 > 2 * L:
-                raise SensitivityViolation(f"l1 sensitivity {l1} > 2L={2 * L}", pair)
+        L = pair.base.L if isinstance(pair.base, IndividualDataset) else 1
+        if coord > L:
+            raise SensitivityViolation(
+                f"per-coordinate sensitivity {coord} > L={L}", pair)
+        if l1 > 2 * L:
+            raise SensitivityViolation(f"l1 sensitivity {l1} > 2L={2 * L}", pair)
     return SensitivityReport(max_l1=max_l1, per_coordinate_max=max_coord,
                              pairs_checked=len(pairs))
 

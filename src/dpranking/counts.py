@@ -1,12 +1,11 @@
 """Nonparametric ranking by Laplace-noised win counts (Copeland counting).
 
-Edge DP adds Laplace(2/eps) noise to the per-item win counts, since changing
-one comparison moves the count vector by at most 2 in l1. Individual DP adds
-Laplace(2L/eps): adjacent datasets differ by replacing one user's whole
-bundle of L comparisons, which takes up to L wins from some items and gives
-up to L to others, an l1 change of at most 2L. Top-k selection and full
-ranking post-process one shared noise draw, so nested top-k sets are
-consistent at no extra privacy cost.
+The win counts get Laplace(2L/eps) noise. Under individual DP adjacent
+datasets differ by replacing one user's whole bundle of L comparisons, which
+takes up to L wins from some items and gives up to L to others, an l1 change
+of at most 2L; edge DP is the L = 1 case. Top-k selection and full ranking
+post-process one shared noise draw, so nested top-k sets are consistent at no
+extra privacy cost.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 import numpy as np
 
 from .data import EdgeDataset, IndividualDataset
-from .metrics import descending_order
+from .metrics import descending_order, rank_from_scores
 
 __all__ = ["win_counts", "noise_scale", "noisy_counts", "noisy_topk", "noisy_full_ranking"]
 
@@ -34,18 +33,14 @@ def win_counts(data: EdgeDataset | IndividualDataset) -> np.ndarray:
 
 
 def noise_scale(epsilon: float, regime: str, L: int = 1) -> float:
-    """Laplace scale: 2/eps for edge DP, 2L/eps for individual DP; 0 at eps=inf."""
+    """Laplace scale 2L/eps, where edge DP is the L = 1 case; 0 at eps = inf."""
+    if regime not in ("edge", "individual"):
+        raise ValueError("regime must be 'edge' or 'individual'")
+    if L < 1:
+        raise ValueError("L must be >= 1")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if math.isinf(epsilon):
-        return 0.0
-    if regime == "edge":
-        return 2.0 / epsilon
-    if regime == "individual":
-        if L < 1:
-            raise ValueError("L must be >= 1")
-        return 2.0 * L / epsilon
-    raise ValueError("regime must be 'edge' or 'individual'")
+    return 0.0 if math.isinf(epsilon) else 2.0 * L / epsilon
 
 
 def noisy_counts(counts: np.ndarray, epsilon: float, regime: str,
@@ -62,11 +57,7 @@ def noisy_counts(counts: np.ndarray, epsilon: float, regime: str,
 def noisy_topk(counts: np.ndarray, k: int, epsilon: float, regime: str,
                L: int = 1, seed=None) -> np.ndarray:
     """Indices (0-based, sorted) of the k largest noisy counts."""
-    n = len(counts)
-    if not 1 <= k <= n:
-        raise ValueError("k must lie in [1, n]")
-    noisy = noisy_counts(counts, epsilon, regime, L, seed)
-    return np.sort(descending_order(noisy)[:k])
+    return rank_from_scores(noisy_counts(counts, epsilon, regime, L, seed), k)
 
 
 def noisy_full_ranking(counts: np.ndarray, epsilon: float, regime: str,

@@ -69,6 +69,9 @@ class ExperimentConfig:
             raise ValueError("edge regime requires p_values")
         if self.regime == "individual" and not self.m_values:
             raise ValueError("individual regime requires m_values")
+        for key in ("n_values", "epsilon_values"):
+            if not getattr(self, key):
+                raise ValueError(f"config key {key!r} must hold at least one value")
         for key, ok, want in (("n_values", lambda v: v >= 2, "integers >= 2"),
                               ("m_values", lambda v: v >= 1, "integers >= 1"),
                               ("p_values", lambda v: 0 < v <= 1, "numbers in (0, 1]")):
@@ -96,6 +99,10 @@ class ExperimentConfig:
         for key in ("L", "trials", "master_seed"):
             if key in raw and (not isinstance(raw[key], int) or isinstance(raw[key], bool)):
                 raise ValueError(f"config key {key!r} must be a JSON integer")
+        # the preset names the CSV's experiment column; a null output_path is stdout
+        for key, kind in (("preset", str), ("output_path", (str, type(None)))):
+            if not isinstance(raw.get(key, ""), kind):
+                raise ValueError(f"config key {key!r} must be a JSON string")
         if "preset" in raw and set(raw) <= {"preset", "trials", "master_seed", "output_path"}:
             return replace(preset_config(raw.pop("preset")), **raw)
         missing = [f.name for f in fields(cls)
@@ -288,6 +295,10 @@ def _read_rows(path: str):
         if reader.fieldnames is None or not set(REQUIRED_COLUMNS) <= set(reader.fieldnames):
             raise ParseError(f"{path}: header must contain {REQUIRED_COLUMNS}")
         for lineno, row in enumerate(reader, start=2):
+            # DictReader fills the fields of a truncated line with None
+            missing = [key for key in REQUIRED_COLUMNS if row[key] is None]
+            if missing:
+                raise ParseError(f"{path}:{lineno}: row is missing {', '.join(missing)}")
             a, b, w = row["item_a"], row["item_b"], row["winner"]
             if a == b:
                 raise ParseError(f"{path}:{lineno}: self-comparison {a!r}")

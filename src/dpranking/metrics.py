@@ -33,6 +33,13 @@ def descending_order(scores) -> np.ndarray:
     return np.argsort(-np.asarray(scores, dtype=float), kind="stable")
 
 
+def rank_from_scores(theta: np.ndarray, k: int) -> np.ndarray:
+    """Indices (0-based, sorted) of the k largest scores; ties go to the lowest index."""
+    if not 1 <= k <= len(theta):
+        raise ValueError("k must lie in [1, n]")
+    return np.sort(descending_order(theta)[:k])
+
+
 class IllPosedTopK(ValueError):
     """The k-th and (k+1)-th tau values tie, so the top-k set is not unique."""
 
@@ -40,13 +47,11 @@ class IllPosedTopK(ValueError):
 def true_topk(tau_scores: np.ndarray, k: int) -> np.ndarray:
     """The index set of the k largest tau values; errors on a boundary tie."""
     tau_scores = np.asarray(tau_scores, dtype=float)
-    n = len(tau_scores)
-    if not 1 <= k <= n:
-        raise ValueError("k must lie in [1, n]")
-    order = descending_order(tau_scores)
-    if k < n and tau_scores[order[k - 1]] == tau_scores[order[k]]:
+    top = rank_from_scores(tau_scores, k)
+    rest = np.delete(tau_scores, top)
+    if len(rest) and tau_scores[top].min() == rest.max():
         raise IllPosedTopK(f"tau ties at the k={k} boundary")
-    return np.sort(order[:k])
+    return top
 
 
 def _rel_log_error(est: np.ndarray, truth: np.ndarray, ord) -> float:

@@ -18,7 +18,7 @@ from .data import EdgeDataset, IndividualDataset
 # objective is unused here; the benchmark's tracer wraps mle.objective by name
 from .likelihood import ObjectiveSpec, grad, objective, smoothness  # noqa: F401
 from .links import LinkFunction
-from .metrics import descending_order
+from .metrics import rank_from_scores
 from .solver import SolveInfo, SolverConfig, minimize
 
 __all__ = [
@@ -56,47 +56,43 @@ class PrivacyCalibration:
             raise ValueError("L must be >= 1")
 
 
-def calibrate_edge(epsilon: float, n: int, p: float,
-                   link: LinkFunction) -> PrivacyCalibration:
-    """Edge-DP calibration: lambda = 8 kappa1/eps, gamma = max(4 kappa2/eps, c0 sqrt(np log n)).
+def _calibrate(regime: str, epsilon: float, n: int, S: float, L: int,
+               floor_scale: float, link: LinkFunction) -> PrivacyCalibration:
+    """lambda = 8 L kappa1/eps and gamma = max(floor_scale/eps, c0 sqrt(S log n)).
 
-    epsilon = inf is the non-private sentinel: no noise, utility gamma only.
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    utility = DEFAULT_C0 * math.sqrt(n * p * math.log(n)) if n > 1 else DEFAULT_C0
-    if math.isinf(epsilon):
-        return PrivacyCalibration(epsilon=epsilon, lam=0.0, gamma=utility,
-                                  regime="edge", floor_binding=False)
-    lam = 8.0 * link.kappa1 / epsilon
-    floor = 4.0 * link.kappa2 / epsilon
-    if n > 1 and lam > math.sqrt(math.log(n)):
-        warnings.warn(
-            "noise scale exceeds sqrt(log n); the utility guarantee does not "
-            "apply at this epsilon, privacy still holds", stacklevel=2)
-    return PrivacyCalibration(epsilon=epsilon, lam=lam, gamma=max(floor, utility),
-                              regime="edge", floor_binding=floor >= utility)
-
-
-def calibrate_individual(epsilon: float, n: int, m: int, L: int,
-                         link: LinkFunction) -> PrivacyCalibration:
-    """Individual-DP calibration: lambda = 8 L kappa1/eps, gamma floor 8 L kappa2/eps.
-
-    The utility value uses the effective per-item comparison count S = 2mL/n.
+    S is the effective per-item comparison count. epsilon = inf is the
+    non-private sentinel: no noise, utility gamma only.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if L < 1:
         raise ValueError("L must be >= 1")
-    S = 2.0 * m * L / n
     utility = DEFAULT_C0 * math.sqrt(S * math.log(n)) if n > 1 else DEFAULT_C0
-    if math.isinf(epsilon):
-        return PrivacyCalibration(epsilon=epsilon, lam=0.0, gamma=utility,
-                                  regime="individual", L=L, floor_binding=False)
-    lam = 8.0 * L * link.kappa1 / epsilon
-    floor = 8.0 * L * link.kappa2 / epsilon
-    return PrivacyCalibration(epsilon=epsilon, lam=lam, gamma=max(floor, utility),
-                              regime="individual", L=L, floor_binding=floor >= utility)
+    floor = floor_scale / epsilon
+    return PrivacyCalibration(epsilon=epsilon, lam=8.0 * L * link.kappa1 / epsilon,
+                              gamma=max(floor, utility), regime=regime, L=L,
+                              floor_binding=floor >= utility)
+
+
+def calibrate_edge(epsilon: float, n: int, p: float,
+                   link: LinkFunction) -> PrivacyCalibration:
+    """Edge DP: L = 1 and S = np; warns when lambda leaves the utility regime.
+
+    Its gamma floor 4 kappa2/eps is half the individual floor at L = 1.
+    """
+    calib = _calibrate("edge", epsilon, n, n * p, 1, 4.0 * link.kappa2, link)
+    if n > 1 and calib.lam > math.sqrt(math.log(n)):
+        warnings.warn(
+            "noise scale exceeds sqrt(log n); the utility guarantee does not "
+            "apply at this epsilon, privacy still holds", stacklevel=2)
+    return calib
+
+
+def calibrate_individual(epsilon: float, n: int, m: int, L: int,
+                         link: LinkFunction) -> PrivacyCalibration:
+    """Individual DP: bundles of L, S = 2mL/n, gamma floor 8 L kappa2/eps."""
+    return _calibrate("individual", epsilon, n, 2.0 * m * L / n, L,
+                      8.0 * L * link.kappa2, link)
 
 
 def default_solver_config(gamma: float) -> SolverConfig:
@@ -137,10 +133,3 @@ def estimate(data, calib: PrivacyCalibration, link: LinkFunction,
              seed=None) -> np.ndarray:
     """The perturbed MLE; see estimate_full for diagnostics."""
     return estimate_full(data, calib, link, seed=seed)[0]
-
-
-def rank_from_scores(theta: np.ndarray, k: int) -> np.ndarray:
-    """Indices (0-based) of the k largest scores; ties broken by lowest index."""
-    if not 1 <= k <= len(theta):
-        raise ValueError("k must lie in [1, n]")
-    return np.sort(descending_order(theta)[:k])

@@ -179,9 +179,11 @@ class TestSensitivity:
         def data(y):
             return IndividualDataset(n=4, m=2, L=1, i=np.array([0, 2]),
                                      j=np.array([1, 3]), y=np.array(y, dtype=np.int8))
-        forged = AdjacentPair(data([1, 1]), data([0, 0]), "user-replacement")
-        with pytest.raises(SensitivityViolation, match="2L"):
-            sensitivity_check([forged])
+        # the bound comes from the dataset's L, so a misspelled kind is checked too
+        for kind in ("user-replacement", "user_replacement"):
+            forged = AdjacentPair(data([1, 1]), data([0, 0]), kind)
+            with pytest.raises(SensitivityViolation, match="2L"):
+                sensitivity_check([forged])
 
     def test_violation_raised_for_forged_pair(self):
         a = _edge_dataset(4)

@@ -50,10 +50,14 @@ class TestNoiseScale:
     def test_validation(self):
         with pytest.raises(ValueError):
             noise_scale(0.0, "edge")
-        with pytest.raises(ValueError):
-            noise_scale(1.0, "both")
-        with pytest.raises(ValueError):
-            noise_scale(1.0, "individual", L=0)
+        # regime and L are checked before the epsilon = inf return, and edge
+        # DP is the L = 1 case of the same rule
+        for eps in (1.0, math.inf):
+            with pytest.raises(ValueError, match="regime"):
+                noise_scale(eps, "both")
+        for regime in ("individual", "edge"):
+            with pytest.raises(ValueError, match="L must be"):
+                noise_scale(1.0, regime, L=0)
 
     def test_rejects_nan_epsilon(self):
         with pytest.raises(ValueError, match="epsilon must be positive"):

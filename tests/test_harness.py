@@ -196,6 +196,27 @@ class TestConfig:
             ExperimentConfig(preset="custom", regime="edge", n_values=(10,),
                              epsilon_values=(1.0,))
 
+    @pytest.mark.parametrize("key, value", [("preset", 5), ("output_path", 7)])
+    def test_from_json_rejects_non_string(self, key, value):
+        # the preset is the CSV's experiment column, written after every trial,
+        # and open() takes an integer path as a file descriptor
+        grid = {"regime": "edge", "n_values": [10], "p_values": [1.0],
+                "epsilon_values": ["1"], "trials": 1}
+        for raw in ({**grid, key: value}, {"preset": "exp1", key: value}):
+            with pytest.raises(ValueError, match=f"config key '{key}' must be a JSON string"):
+                ExperimentConfig.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("key", ["n_values", "epsilon_values"])
+    def test_rejects_empty_grid_axis(self, key):
+        # an empty axis would write a header-only CSV and exit 0
+        match = f"config key '{key}' must hold at least one value"
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_json(json.dumps({
+                "regime": "edge", "n_values": [10], "p_values": [1.0],
+                "epsilon_values": ["1"], key: []}))
+        with pytest.raises(ValueError, match=match):
+            replace(preset_config("exp1"), **{key: ()})
+
 
 class TestSubstream:
     def test_deterministic(self):
@@ -341,6 +362,15 @@ class TestIngest:
         path.write_text("user_id,item_a,item_b,winner\nu1,a,b,z\n")
         with pytest.raises(ParseError, match=":2:"):
             ingest(path, mode="individual")
+
+    def test_truncated_row_reports_line(self, tmp_path):
+        # DictReader fills the missing fields of a short line with None
+        path = tmp_path / "raw.csv"
+        path.write_text("user_id,item_a,item_b,winner\nu1,a,b,a\nu2,a\n")
+        for mode in ("edge", "individual"):
+            with pytest.raises(ParseError,
+                               match=r"raw\.csv:3: row is missing item_b, winner"):
+                ingest(path, mode=mode)
 
     def test_self_comparison_rejected(self, tmp_path):
         path = tmp_path / "raw.csv"
