@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import noise_scale, win_counts
+from .counts import noisy_counts, win_counts
 from .data import (ComparisonGraph, EdgeDataset, IndividualDataset, pair_arrays,
                    pair_count, unrank)
 from .metrics import descending_order
@@ -147,7 +147,7 @@ def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:
     """Max l1 and per-coordinate change of win counts over adjacent pairs.
 
     Raises SensitivityViolation when a pair moves a count by more than L or
-    the vector by more than 2L in l1, with L = 1 for an edge dataset.
+    the vector by more than 2L in l1; an edge dataset's L is 1.
     """
     max_l1 = 0.0
     max_coord = 0.0
@@ -157,7 +157,7 @@ def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:
         coord = float(np.abs(delta).max()) if len(delta) else 0.0
         max_l1 = max(max_l1, l1)
         max_coord = max(max_coord, coord)
-        L = pair.base.L if isinstance(pair.base, IndividualDataset) else 1
+        L = pair.base.L
         if coord > L:
             raise SensitivityViolation(
                 f"per-coordinate sensitivity {coord} > L={L}", pair)
@@ -169,7 +169,7 @@ def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:
 
 @dataclass(frozen=True)
 class CountTopKMechanism:
-    """The noisy-count top-k mechanism, replayable in vectorized batches."""
+    """The noisy-count top-k mechanism, replayed in batches through ``noisy_counts``."""
 
     k: int
     epsilon: float
@@ -182,7 +182,7 @@ class CountTopKMechanism:
             raise ValueError(f"k={self.k} must be >= 1")
 
     def output_masks(self, data, samples: int, rng: np.random.Generator) -> np.ndarray:
-        """Encoded top-k sets (bitmask over items) for ``samples`` replays."""
+        """Top-k sets (bitmasks over items) of ``samples`` ``noisy_counts`` releases."""
         counts = win_counts(data).astype(float)
         n = len(counts)
         if n > 62:
@@ -190,11 +190,8 @@ class CountTopKMechanism:
         # picking every item is one fixed output, which no replay can tell apart
         if self.k >= n:
             raise ValueError(f"k={self.k} must be below n={n}")
-        scale = noise_scale(self.epsilon, self.regime, self.L)
-        if scale == 0.0:
-            noisy = np.broadcast_to(counts, (samples, n))
-        else:
-            noisy = counts + rng.laplace(scale=scale, size=(samples, n))
+        noisy = noisy_counts(np.broadcast_to(counts, (samples, n)), self.epsilon,
+                             self.regime, self.L, seed=rng)
         order = descending_order(noisy)[:, :self.k]
         masks = np.zeros(samples, dtype=np.int64)
         for col in range(self.k):

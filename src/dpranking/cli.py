@@ -100,9 +100,8 @@ def _cmd_estimate(args):
 def _cmd_rank(args):
     data = ingest(args.data, mode=args.mode)
     wins = counts_mod.win_counts(data)
-    L = data.L if args.mode == "individual" else 1
     top = counts_mod.noisy_topk(wins, _checked_k(args.k, data), args.epsilon, args.mode,
-                                L=L, seed=args.seed)
+                                L=data.L, seed=args.seed)
     names = data.item_names()
     print(json.dumps({"epsilon": eps_token(args.epsilon), "k": args.k,
                       "top_k": sorted(names[i] for i in top)}, indent=2))
@@ -119,14 +118,12 @@ def _cmd_audit(args):
         graph = sample_er_graph(n, 1.0, seed=rng)
         base = sample_edge_outcomes(graph, rho, seed=rng)
         pair = audit_mod.enumerate_adjacent(base, budget=1, seed=rng)[0]
-        L = 1
     else:
-        L = 5
-        base = sample_individual(n, 50, L, rho, seed=rng)
+        base = sample_individual(n, 50, L=5, rho=rho, seed=rng)
         pair = audit_mod.extremal_user_pair(base, k)
     sens = audit_mod.sensitivity_check([pair])
     mechanism = audit_mod.CountTopKMechanism(k=k, epsilon=args.epsilon, regime=args.mode,
-                                             L=L)
+                                             L=base.L)
     est = audit_mod.estimate_epsilon(mechanism, pair, args.samples, seed=rng)
     print(json.dumps({
         "mode": args.mode,

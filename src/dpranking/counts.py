@@ -10,8 +10,6 @@ extra privacy cost.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .data import EdgeDataset, IndividualDataset
@@ -33,25 +31,25 @@ def win_counts(data: EdgeDataset | IndividualDataset) -> np.ndarray:
 
 
 def noise_scale(epsilon: float, regime: str, L: int = 1) -> float:
-    """Laplace scale 2L/eps, where edge DP is the L = 1 case; 0 at eps = inf."""
+    """Laplace scale 2L/eps, where edge DP is the L = 1 case; 0.0 at eps = inf."""
     if regime not in ("edge", "individual"):
         raise ValueError("regime must be 'edge' or 'individual'")
     if L < 1:
         raise ValueError("L must be >= 1")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return 0.0 if math.isinf(epsilon) else 2.0 * L / epsilon
+    return 2.0 * L / epsilon
 
 
 def noisy_counts(counts: np.ndarray, epsilon: float, regime: str,
                  L: int = 1, seed=None) -> np.ndarray:
-    """Counts plus i.i.d. Laplace noise at the regime's scale."""
+    """Counts plus i.i.d. Laplace noise of their shape, exactly +0.0 at eps = inf.
+
+    An (S, n) array is S releases, the same stream as S successive 1-D calls.
+    """
     counts = np.asarray(counts, dtype=float)
-    scale = noise_scale(epsilon, regime, L)
-    if scale == 0.0:
-        return counts.copy()
     rng = np.random.default_rng(seed)
-    return counts + rng.laplace(scale=scale, size=len(counts))
+    return counts + rng.laplace(scale=noise_scale(epsilon, regime, L), size=counts.shape)
 
 
 def noisy_topk(counts: np.ndarray, k: int, epsilon: float, regime: str,

@@ -152,6 +152,7 @@ class _NamedItems:
 class EdgeDataset(_NamedItems):
     """One Bernoulli outcome per edge; y[e] = 1 iff the lower-index item won."""
 
+    L = 1  # not a field: an adjacent change touches one comparison
     graph: ComparisonGraph
     y: np.ndarray
     items: tuple[str, ...] | None = None

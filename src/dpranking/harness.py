@@ -173,7 +173,6 @@ def substream(master_seed: int, experiment: str, n: int, p, m, L: int,
 def _trial_records(cfg: ExperimentConfig, n: int, p, m, eps: float,
                    trial: int) -> list[TrialRecord]:
     link = get_link("logistic")
-    L = cfg.L if cfg.regime == "individual" else None
     ss, seed_id = substream(cfg.master_seed, cfg.preset, n, p, m, cfg.L, eps, trial)
     rng = np.random.default_rng(ss)
     k = max(1, n // 4)
@@ -189,8 +188,8 @@ def _trial_records(cfg: ExperimentConfig, n: int, p, m, eps: float,
     else:
         dataset = sample_individual(n, m, cfg.L, rho, seed=rng)
 
-    common = dict(experiment=cfg.preset, n=n, epsilon=eps, trial=trial,
-                  seed=seed_id, p=p, m=m, L=L)
+    common = dict(experiment=cfg.preset, n=n, epsilon=eps, trial=trial, seed=seed_id,
+                  p=p, m=m, L=cfg.L if cfg.regime == "individual" else None)
     records = [TrialRecord(algorithm="truth", metric="theta_star_inf_norm",
                            value=float(np.max(np.abs(theta_star))), **common)]
 
@@ -215,7 +214,7 @@ def _trial_records(cfg: ExperimentConfig, n: int, p, m, eps: float,
                 for name, val in values.items()]
 
     wins = counts_mod.win_counts(dataset)
-    est_set = counts_mod.noisy_topk(wins, k, eps, cfg.regime, L=L or 1, seed=rng)
+    est_set = counts_mod.noisy_topk(wins, k, eps, cfg.regime, L=dataset.L, seed=rng)
     values = {
         "topk_overlap_loss": metrics_mod.topk_overlap_loss(est_set, true_set, k),
         "hamming": float(metrics_mod.hamming_sets(est_set, true_set)),
@@ -264,14 +263,13 @@ def _fmt(v) -> str:
 
 
 def write_records_csv(records: list[TrialRecord], path: str) -> None:
-    """Stable long-format CSV: LF endings, UTF-8, 12-significant-digit floats."""
+    """Stable long-format CSV: LF endings, UTF-8, 12-digit floats, minimal quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for r in records:
-            row = [r.experiment, r.algorithm, _fmt(r.n), _fmt(r.p), _fmt(r.m),
-                   _fmt(r.L), eps_token(r.epsilon), _fmt(r.trial), r.seed,
-                   r.metric, _fmt(r.value)]
-            fh.write(",".join(row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows([r.experiment, r.algorithm, _fmt(r.n), _fmt(r.p), _fmt(r.m),
+                          _fmt(r.L), eps_token(r.epsilon), _fmt(r.trial), r.seed,
+                          r.metric, _fmt(r.value)] for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +294,7 @@ def _read_rows(path: str):
             raise ParseError(f"{path}: header must contain {REQUIRED_COLUMNS}")
         for lineno, row in enumerate(reader, start=2):
             # DictReader fills the fields of a truncated line with None
-            missing = [key for key in REQUIRED_COLUMNS if row[key] is None]
+            missing = [key for key in REQUIRED_COLUMNS if not row[key]]
             if missing:
                 raise ParseError(f"{path}:{lineno}: row is missing {', '.join(missing)}")
             a, b, w = row["item_a"], row["item_b"], row["winner"]

@@ -115,12 +115,12 @@ def separation_threshold(regime: str, n: int, epsilon: float,
         if p is None or p <= 0:
             raise ValueError("edge regime requires p > 0")
         base = math.sqrt(logn / (n * p))
-        priv = 0.0 if math.isinf(epsilon) else logn / (n * p * epsilon)
+        priv = logn / (n * p * epsilon)
     elif regime == "individual":
         if m is None or m <= 0:
             raise ValueError("individual regime requires m > 0")
         base = math.sqrt(n * logn / m)
-        priv = 0.0 if math.isinf(epsilon) else n * logn / (m * epsilon)
+        priv = n * logn / (m * epsilon)
     else:
         raise ValueError("regime must be 'edge' or 'individual'")
     return base + priv

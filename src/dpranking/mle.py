@@ -96,7 +96,7 @@ def calibrate_individual(epsilon: float, n: int, m: int, L: int,
 
 
 def default_solver_config(gamma: float) -> SolverConfig:
-    return SolverConfig(tol=1e-8 * max(1.0, gamma), max_iters=200_000)
+    return SolverConfig(tol=1e-8 * max(1.0, gamma))
 
 
 def _build_spec(data, calib: PrivacyCalibration, link: LinkFunction,
@@ -116,16 +116,14 @@ def _build_spec(data, calib: PrivacyCalibration, link: LinkFunction,
 
 def estimate_full(data, calib: PrivacyCalibration, link: LinkFunction,
                   seed=None) -> tuple[np.ndarray, SolveInfo]:
-    """Draw the perturbation and solve the strongly convex program from zero.
+    """Draw the perturbation w (all +0.0 at lambda = 0) and solve from zero.
 
     The fixed step 1/smoothness(spec) needs no line search. Returns the estimate
     with solver diagnostics; raises ConvergenceError at the iteration cap.
     """
-    n = data.n
-    rng = np.random.default_rng(seed)
-    w = rng.laplace(scale=calib.lam, size=n) if calib.lam > 0 else np.zeros(n)
+    w = np.random.default_rng(seed).laplace(scale=calib.lam, size=data.n)
     spec = _build_spec(data, calib, link, w)
-    return minimize(lambda t: grad(t, spec), np.zeros(n), 1.0 / smoothness(spec),
+    return minimize(lambda t: grad(t, spec), np.zeros(data.n), 1.0 / smoothness(spec),
                     default_solver_config(calib.gamma))
 
 

@@ -11,17 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_ITERS = 200_000
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float
-    max_iters: int = 200_000
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,12 @@ def minimize(grad, x0: np.ndarray, step: float,
              config: SolverConfig) -> tuple[np.ndarray, SolveInfo]:
     """Step x -= step * grad(x) until the gradient sup-norm is at most config.tol."""
     x = np.array(x0, dtype=float)
-    for it in range(config.max_iters + 1):
+    for it in range(MAX_ITERS + 1):
         g = grad(x)
         gnorm = float(np.max(np.abs(g), initial=0.0))
         if gnorm <= config.tol:
             return x, SolveInfo(iterations=it, grad_sup_norm=gnorm, converged=True)
-        if it == config.max_iters:
+        if it == MAX_ITERS:
             raise ConvergenceError(x, SolveInfo(iterations=it, grad_sup_norm=gnorm,
                                                 converged=False))
         x -= step * g

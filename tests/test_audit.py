@@ -9,6 +9,7 @@ from dpranking.audit import (AdjacentPair, CountTopKMechanism,
                              SensitivityViolation, enumerate_adjacent,
                              estimate_epsilon, extremal_user_pair, replace_user,
                              sensitivity_check, user_replacement_pairs)
+from dpranking.counts import noisy_topk, win_counts
 from dpranking.data import (ComparisonGraph, EdgeDataset, IndividualDataset,
                             ProbMatrix, pair_arrays, pair_count, rho_from_theta,
                             sample_edge_outcomes, sample_er_graph, sample_individual)
@@ -247,6 +248,19 @@ class TestEstimateEpsilon:
         mech = CountTopKMechanism(k=k, epsilon=1.0, regime="edge")
         with pytest.raises(ValueError, match=f"k={k}"):
             estimate_epsilon(mech, self._pair(), samples=100_000, seed=0)
+
+    @pytest.mark.parametrize("epsilon", [1.0, math.inf])
+    @pytest.mark.parametrize("regime", ["edge", "individual"])
+    def test_replays_the_release(self, regime, epsilon):
+        # the audit measures noisy_topk itself: one batch is S releases in turn
+        data = (_edge_dataset(4, seed=5) if regime == "edge" else sample_individual(
+            4, 30, 5, ProbMatrix(n=4, upper=np.full(6, 0.5)), seed=4))
+        mech = CountTopKMechanism(k=2, epsilon=epsilon, regime=regime, L=data.L)
+        masks = mech.output_masks(data, 50, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        releases = [noisy_topk(win_counts(data), 2, epsilon, regime, L=data.L, seed=rng)
+                    for _ in range(50)]
+        assert masks.tolist() == [sum(1 << int(t) for t in top) for top in releases]
 
     def test_mask_encoding_limit(self):
         mech = CountTopKMechanism(k=1, epsilon=1.0, regime="edge")

@@ -113,6 +113,20 @@ class TestNoisyCounts:
         out = noisy_counts(counts, math.inf, "edge")
         assert np.array_equal(out, counts)
 
+    @pytest.mark.parametrize("epsilon", [1.0, math.inf])
+    def test_batch_is_successive_releases(self, epsilon):
+        # an (S, n) call is S releases drawn from one generator in turn
+        counts = np.array([3.0, 0.0, 5.0, 2.0])
+        batch = noisy_counts(np.broadcast_to(counts, (6, 4)), epsilon, "individual",
+                             L=3, seed=np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        rows = [noisy_counts(counts, epsilon, "individual", L=3, seed=rng)
+                for _ in range(6)]
+        assert batch.shape == (6, 4)
+        assert np.array_equal(batch, rows)
+        # at eps = inf each draw is +0.0, so the counts come back exactly
+        assert np.array_equal(batch == counts, np.full((6, 4), math.isinf(epsilon)))
+
     def test_noise_magnitude(self):
         # Laplace(scale) has sd scale*sqrt(2); check empirical spread
         rng_seed = 17

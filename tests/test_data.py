@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -319,6 +320,13 @@ class TestOutcomeSampling:
         pm = ProbMatrix(n=2, upper=np.array([0.5]))
         with pytest.raises(ValueError):
             sample_edge_outcomes(g, pm)
+
+    def test_edge_dataset_is_the_L_1_case(self):
+        # L is a class constant, so no caller can build an edge dataset with another
+        data = sample_edge_outcomes(sample_er_graph(3, 1.0, seed=0),
+                                    ProbMatrix(n=3, upper=np.full(3, 0.5)), seed=0)
+        assert data.L == 1
+        assert "L" not in {f.name for f in dataclasses.fields(data)}
 
 
 class TestIndividualSampling:

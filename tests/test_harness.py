@@ -252,6 +252,16 @@ class TestRunExperiment:
         write_records_csv(run_experiment(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_csv_quotes_fields_that_need_it(self, tmp_path):
+        # a preset is free text and names the experiment column
+        path = tmp_path / "q.csv"
+        write_records_csv(run_experiment(_tiny_config(preset='a,b"c\nd', trials=1)), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 2 * 10
+        assert all(len(row) == 11 for row in rows)
+        assert {row[0] for row in rows[1:]} == {'a,b"c\nd'}
+
     def test_worker_count_invariance(self, tmp_path):
         cfg = _tiny_config()
         r1 = run_experiment(cfg, workers=1)
@@ -364,13 +374,16 @@ class TestIngest:
             ingest(path, mode="individual")
 
     def test_truncated_row_reports_line(self, tmp_path):
-        # DictReader fills the missing fields of a short line with None
+        # DictReader fills the missing fields of a short line with None; an
+        # empty field would otherwise become an item named ""
         path = tmp_path / "raw.csv"
-        path.write_text("user_id,item_a,item_b,winner\nu1,a,b,a\nu2,a\n")
-        for mode in ("edge", "individual"):
-            with pytest.raises(ParseError,
-                               match=r"raw\.csv:3: row is missing item_b, winner"):
-                ingest(path, mode=mode)
+        for row, missing in (("u2,a", "item_b, winner"), ("u2,a,,a", "item_b"),
+                             (",a,b,a", "user_id")):
+            path.write_text(f"user_id,item_a,item_b,winner\nu1,a,b,a\n{row}\n")
+            for mode in ("edge", "individual"):
+                with pytest.raises(ParseError,
+                                   match=rf"raw\.csv:3: row is missing {missing}$"):
+                    ingest(path, mode=mode)
 
     def test_self_comparison_rejected(self, tmp_path):
         path = tmp_path / "raw.csv"
