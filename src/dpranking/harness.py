@@ -14,7 +14,6 @@ import json
 import math
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -61,6 +60,9 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        # csv.writer quotes \n but writes \r bare, which ends a row on reading
+        if "\r" in self.preset:
+            raise ValueError("config key 'preset' must not hold a carriage return")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.regime not in ("edge", "individual"):
@@ -237,6 +239,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[TrialRecord]
             for eps in cfg.epsilon_values
             for t in range(cfg.trials)]
     if workers > 1:
+        # multiprocessing costs start-up time that a serial run never repays
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_trial_records, *zip(*jobs), chunksize=4))
     else:

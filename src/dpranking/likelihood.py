@@ -9,11 +9,15 @@ nll + (gamma/2)||theta||^2 + w.theta; ``nll`` is the likelihood term alone.
 Under the logistic (Bradley-Terry-Luce) link, log F(-t) = log F(t) - t, so a
 pair's term has derivative F(t) - ybar and curvature F(t)F(-t) in
 t = theta_i - theta_j: each evaluation makes one link pass.
+
+Pairs are held sorted by i, so each item's i-side terms are one contiguous
+run. The gradient sums each run with np.add.reduceat, where a scatter would
+add into the same slot one term after another, and scatters only the j side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +44,11 @@ def aggregate(data: IndividualDataset
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A perturbed ridge likelihood: data pairs, logistic link, gamma, noise w."""
+    """A perturbed ridge likelihood: data pairs, logistic link, gamma, noise w.
+
+    The pairs must be sorted by i. ``_starts`` holds the first pair of each
+    run of equal i and ``_rows`` that run's i.
+    """
 
     n: int
     i: np.ndarray
@@ -50,6 +58,8 @@ class ObjectiveSpec:
     link: LinkFunction
     gamma: float = 0.0
     w: np.ndarray | None = None
+    _starts: np.ndarray = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.link.name != "logistic":
@@ -59,6 +69,13 @@ class ObjectiveSpec:
             raise ValueError("gamma must be nonnegative")
         if self.w is not None and self.w.shape != (self.n,):
             raise ValueError("w must have length n")
+        # the prepended i[0] - 1 makes the first pair start a run
+        step = np.diff(self.i, prepend=self.i[:1] - 1)
+        if np.any(step < 0):
+            raise ValueError("pairs must be sorted by i")
+        starts = np.flatnonzero(step)
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_rows", self.i[starts])
 
     @classmethod
     def from_edge(cls, data: EdgeDataset, link: LinkFunction,
@@ -95,11 +112,13 @@ def objective(theta: np.ndarray, spec: ObjectiveSpec) -> float:
 def grad(theta: np.ndarray, spec: ObjectiveSpec) -> np.ndarray:
     """Gradient of the full objective (ridge and perturbation included)."""
     theta = np.asarray(theta, dtype=float)
-    t = theta[spec.i] - theta[spec.j]
-    coef = spec.M * (spec.link.eval(t) - spec.ybar)
-    g = np.bincount(spec.i, weights=coef, minlength=spec.n)
-    g -= np.bincount(spec.j, weights=coef, minlength=spec.n)
-    g += spec.gamma * theta
+    coef = spec.link.eval(theta[spec.i] - theta[spec.j])
+    coef -= spec.ybar
+    coef *= spec.M
+    # start from the ridge: an edgeless spec's bincounts are integer zeros
+    g = spec.gamma * theta
+    g += np.bincount(spec._rows, np.add.reduceat(coef, spec._starts), spec.n)
+    g -= np.bincount(spec.j, coef, spec.n)
     if spec.w is not None:
         g += spec.w
     return g
@@ -132,7 +151,8 @@ def smoothness(spec: ObjectiveSpec) -> float:
     Lap(K_n) has largest eigenvalue n. The second bound is exact on a complete
     graph with uniform M at theta = 0; the first is the smaller on sparse graphs.
     """
-    degree = np.bincount(spec.i, spec.M, spec.n) + np.bincount(spec.j, spec.M, spec.n)
+    degree = np.bincount(spec._rows, np.add.reduceat(spec.M, spec._starts), spec.n)
+    degree += np.bincount(spec.j, spec.M, spec.n)
     lap_max = min(2.0 * float(np.max(degree, initial=0.0)),
                   spec.n * float(np.max(spec.M, initial=0.0)))
     return 0.25 * lap_max + spec.gamma

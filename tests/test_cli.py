@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import dpranking
 from dpranking.cli import main
 
 
@@ -117,7 +121,9 @@ def test_simulate_rejects_nonpositive_workers(tmp_path, capsys, workers):
       "epsilon_values": ["inf"], "trail": 1}, "trail"),
     ({"regime": "edge", "n_values": [1], "p_values": [1.0],
       "epsilon_values": ["inf"]}, "n_values"),
-], ids=["unknown-key", "n-out-of-range"])
+    ({"preset": "a\rb", "regime": "edge", "n_values": [10], "p_values": [1.0],
+      "epsilon_values": ["inf"]}, "preset"),
+], ids=["unknown-key", "n-out-of-range", "preset-carriage-return"])
 def test_simulate_bad_config_exits_2_naming_file_and_key(tmp_path, capsys, config, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -207,3 +213,16 @@ def test_ingest_rank_subcommand(cems_path, tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2 * 2 * 2  # header + eps x trials x algorithms
+
+
+def test_import_leaves_process_pool_unloaded():
+    # multiprocessing is only needed by simulate --workers > 1; importing it
+    # at start-up would cost every command its import time
+    src = str(pathlib.Path(dpranking.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import dpranking.cli, sys; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

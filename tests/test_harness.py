@@ -186,6 +186,8 @@ class TestConfig:
     @pytest.mark.parametrize("preset, key, value", [
         ("exp1", "n_values", (50, 1)), ("exp5", "m_values", (0,)), ("exp5", "L", 0),
         ("exp2", "p_values", (0.5, 0.0)), ("exp2", "p_values", (1.5,)),
+        # csv.writer leaves \r unquoted, so csv.reader would split the row there
+        ("exp1", "preset", "a\rb"),
     ])
     def test_preset_override_rejects_out_of_range_value(self, preset, key, value):
         with pytest.raises(ValueError, match=f"config key '{key}' must"):

@@ -71,9 +71,12 @@ class TestNll:
         pm = ProbMatrix(n=5, upper=rng.random(10))
         data = sample_individual(5, 6, 4, pm, seed=rng)
         agg_spec = ObjectiveSpec.from_individual(data, LINK)
-        raw_spec = ObjectiveSpec(n=5, i=data.i, j=data.j,
+        # a spec holds its pairs sorted by i; the stable sort keeps each
+        # item's records in draw order
+        order = np.argsort(data.i, kind="stable")
+        raw_spec = ObjectiveSpec(n=5, i=data.i[order], j=data.j[order],
                                  M=np.ones(len(data.i)),
-                                 ybar=data.y.astype(float), link=LINK)
+                                 ybar=data.y[order].astype(float), link=LINK)
         theta = rng.normal(size=5)
         assert nll(theta, agg_spec) == pytest.approx(nll(theta, raw_spec), abs=1e-10)
 
@@ -119,6 +122,53 @@ class TestGrad:
         theta = np.array(theta)
         expected = (float(LINK.eval(theta[0] - theta[1])) - 1.0) * np.array([1.0, -1.0])
         assert np.array_equal(grad(theta, spec), expected)
+
+
+def _bincount_grad(theta, spec):
+    # the scatter-on-both-sides gradient the segment sum replaced
+    t = theta[spec.i] - theta[spec.j]
+    coef = spec.M * (spec.link.eval(t) - spec.ybar)
+    return (np.bincount(spec.i, weights=coef, minlength=spec.n)
+            - np.bincount(spec.j, weights=coef, minlength=spec.n)
+            + spec.gamma * theta + (0.0 if spec.w is None else spec.w))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 30), form=st.sampled_from(["edge", "individual", "raw", "edgeless"]),
+       gamma=st.sampled_from([0.0, 0.5, 12.0]), with_w=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_grad_matches_bincount_formula(n, form, gamma, with_w, seed):
+    rng = np.random.default_rng(seed)
+    pm = ProbMatrix(n=n, upper=rng.random(n * (n - 1) // 2))
+    w = rng.laplace(scale=3.0, size=n) if with_w else None
+    if form == "edge":
+        data = sample_edge_outcomes(sample_er_graph(n, rng.uniform(0.05, 1.0), seed=rng),
+                                    pm, seed=rng)
+        spec = ObjectiveSpec.from_edge(data, LINK, gamma=gamma, w=w)
+    elif form == "edgeless":
+        empty = np.array([], dtype=np.int64)
+        spec = ObjectiveSpec(n=n, i=empty, j=empty, M=np.array([]), ybar=np.array([]),
+                             link=LINK, gamma=gamma, w=w)
+    else:
+        data = sample_individual(n, int(rng.integers(1, 40)), int(rng.integers(1, 4)),
+                                 pm, seed=rng)
+        if form == "individual":
+            spec = ObjectiveSpec.from_individual(data, LINK, gamma=gamma, w=w)
+        else:
+            # one pair per record, repeats included
+            order = np.argsort(data.i, kind="stable")
+            spec = ObjectiveSpec(n=n, i=data.i[order], j=data.j[order],
+                                 M=np.ones(len(order)), ybar=data.y[order].astype(float),
+                                 link=LINK, gamma=gamma, w=w)
+    theta = rng.uniform(-6, 6, size=n)
+    g, ref = grad(theta, spec), _bincount_grad(theta, spec)
+    assert np.max(np.abs(g - ref)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
+
+
+def test_rejects_pairs_not_sorted_by_i():
+    with pytest.raises(ValueError, match="sorted by i"):
+        ObjectiveSpec(n=3, i=np.array([0, 1, 0]), j=np.array([1, 2, 2]),
+                      M=np.ones(3), ybar=np.full(3, 0.5), link=LINK)
 
 
 def test_one_link_pass_per_evaluation():

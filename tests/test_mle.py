@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpranking.data import (ProbMatrix, generate_theta, rho_from_theta,
-                            sample_edge_outcomes, sample_er_graph, sample_individual)
+from dpranking.data import (ComparisonGraph, EdgeDataset, ProbMatrix, generate_theta,
+                            rho_from_theta, sample_edge_outcomes, sample_er_graph,
+                            sample_individual)
 from dpranking.likelihood import ObjectiveSpec, grad, smoothness
 from dpranking.links import logistic_link
 from dpranking.mle import (PrivacyCalibration, calibrate_edge,
@@ -194,6 +195,17 @@ class TestEstimate:
         calib = calibrate_edge(math.inf, 800, 1.0, LINK)
         _, info = estimate_full(data, calib, LINK, seed=0)
         assert info.converged and info.iterations <= 20
+
+    def test_edgeless_graph_gives_minus_w_over_gamma(self):
+        # a sparse draw can keep no pair; the objective is then the ridge plus w.theta
+        data = EdgeDataset(graph=ComparisonGraph(n=3, i=np.array([], dtype=np.int64),
+                                                 j=np.array([], dtype=np.int64), p=0.01),
+                           y=np.array([], dtype=np.int8))
+        calib = PrivacyCalibration(epsilon=1.0, lam=2.0, gamma=4.0, regime="edge")
+        theta, info = estimate_full(data, calib, LINK, seed=3)
+        w = np.random.default_rng(3).laplace(scale=2.0, size=3)
+        assert info.converged
+        assert np.allclose(theta, -w / 4.0, atol=1e-7)
 
     def test_stationarity_posthoc(self):
         rng = np.random.default_rng(9)
