@@ -112,7 +112,9 @@ def objective(theta: np.ndarray, spec: ObjectiveSpec) -> float:
 def grad(theta: np.ndarray, spec: ObjectiveSpec) -> np.ndarray:
     """Gradient of the full objective (ridge and perturbation included)."""
     theta = np.asarray(theta, dtype=float)
-    coef = spec.link.eval(theta[spec.i] - theta[spec.j])
+    t = theta[spec.i]
+    t -= theta[spec.j]
+    coef = spec.link.eval(t)
     coef -= spec.ybar
     coef *= spec.M
     # start from the ridge: an edgeless spec's bincounts are integer zeros

@@ -17,8 +17,12 @@ import numpy as np
 
 @np.errstate(over="ignore")  # e^-x is inf below x ~ -709.78, and 1/inf is exactly 0
 def expit(x):
-    """The logistic CDF F(x) = 1/(1 + e^-x)."""
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+    """The logistic CDF F(x) = 1/(1 + e^-x), in one array written in place."""
+    z = np.negative(x, dtype=float, out=np.empty(np.shape(x)))
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    return z if z.ndim else z[()]  # a scalar input gives a scalar
 
 
 def log_expit(x):

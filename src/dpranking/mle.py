@@ -116,14 +116,22 @@ def _build_spec(data, calib: PrivacyCalibration, link: LinkFunction,
 
 def estimate_full(data, calib: PrivacyCalibration, link: LinkFunction,
                   seed=None) -> tuple[np.ndarray, SolveInfo]:
-    """Draw the perturbation w (all +0.0 at lambda = 0) and solve from zero.
+    """Draw the perturbation w (all +0.0 at lambda = 0) and solve from the minimizer's mean.
 
-    The fixed step 1/smoothness(spec) needs no line search. Returns the estimate
-    with solver diagnostics; raises ConvergenceError at the iteration cap.
+    Each pair adds its term to item i's gradient and subtracts it from item
+    j's, so 1.grad(theta) = gamma 1.theta + 1.w and the minimizer's mean is
+    exactly -mean(w)/gamma. The solve starts at that constant vector, which is
+    zero at lambda = 0. Its fallback step 1/smoothness(spec) certifies the
+    Barzilai-Borwein steps with mu = gamma (see solver.minimize). Returns the
+    estimate with solver diagnostics; raises ConvergenceError at the
+    iteration cap.
     """
     w = np.random.default_rng(seed).laplace(scale=calib.lam, size=data.n)
     spec = _build_spec(data, calib, link, w)
-    return minimize(lambda t: grad(t, spec), np.zeros(data.n), 1.0 / smoothness(spec),
+    # 0.0 - starts at +0.0, not -0.0, when w is all +0.0; max(n, 1) spares an
+    # itemless dataset the empty mean's 0/0
+    x0 = np.full(data.n, (0.0 - w.sum() / max(data.n, 1)) / spec.gamma)
+    return minimize(lambda t: grad(t, spec), x0, 1.0 / smoothness(spec), spec.gamma,
                     default_solver_config(calib.gamma))
 
 

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpranking.data import (ComparisonGraph, EdgeDataset, ProbMatrix, generate_theta,
                             rho_from_theta, sample_edge_outcomes, sample_er_graph,
                             sample_individual)
 from dpranking.likelihood import ObjectiveSpec, grad, smoothness
-from dpranking.links import logistic_link
+from dpranking.links import expit, logistic_link
 from dpranking.mle import (PrivacyCalibration, calibrate_edge,
                            calibrate_individual, default_solver_config,
                            estimate, estimate_full, rank_from_scores)
@@ -131,6 +132,15 @@ def _bisect(fun, lo, hi, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+@pytest.fixture(scope="module")
+def dense_800():
+    """A criterion-08-sized edge dataset: n = 800, p = 1."""
+    rng = np.random.default_rng(800)
+    theta_star = generate_theta(800, 200, seed=rng, top_inclusive=True)
+    return sample_edge_outcomes(sample_er_graph(800, 1.0, seed=rng),
+                                rho_from_theta(theta_star, LINK), seed=rng)
+
+
 class TestEstimate:
     def test_single_edge_closed_form(self):
         # stationarity of the ridge objective at theta = (t, -t):
@@ -159,7 +169,7 @@ class TestEstimate:
                              gamma=1.0, w=np.zeros(3))
         cfg = default_solver_config(1.0)
         theta, info = minimize(lambda t: grad(t, spec), np.zeros(3),
-                               1.0 / smoothness(spec), cfg)
+                               1.0 / smoothness(spec), spec.gamma, cfg)
         assert np.max(np.abs(theta)) <= cfg.tol
 
     def test_solve_uses_gradient_only(self, monkeypatch):
@@ -196,6 +206,30 @@ class TestEstimate:
         _, info = estimate_full(data, calib, LINK, seed=0)
         assert info.converged and info.iterations <= 20
 
+    def test_dense_nonprivate_gradient_budget(self, dense_800):
+        # a fixed 1/L step takes 16-17 gradients on this shape
+        calib = calibrate_edge(math.inf, 800, 1.0, LINK)
+        _, info = estimate_full(dense_800, calib, LINK, seed=0)
+        assert info.converged and info.iterations + 1 <= 12
+
+    def test_spend_epsilon_calibration_gradient_budget(self, dense_800):
+        # lambda = 4.4 L/eps and a gamma floor of 5 L/eps at eps = 1 leave gamma
+        # = 7.31 far below L ~ 207; a fixed 1/L step takes ~440 gradients here
+        calib = PrivacyCalibration(epsilon=1.0, lam=4.4, gamma=7.31, regime="edge")
+        _, info = estimate_full(dense_800, calib, LINK, seed=1)
+        assert info.converged and info.iterations + 1 <= 20
+
+    def test_sparse_nonprivate_gradient_budget(self):
+        # p = 2 ln n/n at n = 5000; a fixed 1/L step takes 129-178 gradients
+        n = 5000
+        p = 2.0 * math.log(n) / n
+        rng = np.random.default_rng(5000)
+        theta_star = generate_theta(n, n // 4, seed=rng, top_inclusive=True)
+        data = sample_edge_outcomes(sample_er_graph(n, p, seed=rng),
+                                    rho_from_theta(theta_star, LINK), seed=rng)
+        _, info = estimate_full(data, calibrate_edge(math.inf, n, p, LINK), LINK, seed=0)
+        assert info.converged and info.iterations + 1 <= 40
+
     def test_edgeless_graph_gives_minus_w_over_gamma(self):
         # a sparse draw can keep no pair; the objective is then the ridge plus w.theta
         data = EdgeDataset(graph=ComparisonGraph(n=3, i=np.array([], dtype=np.int64),
@@ -206,6 +240,14 @@ class TestEstimate:
         w = np.random.default_rng(3).laplace(scale=2.0, size=3)
         assert info.converged
         assert np.allclose(theta, -w / 4.0, atol=1e-7)
+
+    def test_itemless_dataset_gives_empty_estimate(self):
+        empty = np.array([], dtype=np.int64)
+        data = EdgeDataset(graph=ComparisonGraph(n=0, i=empty, j=empty, p=0.5),
+                           y=np.array([], dtype=np.int8))
+        calib = PrivacyCalibration(epsilon=1.0, lam=2.0, gamma=4.0, regime="edge")
+        theta, info = estimate_full(data, calib, LINK, seed=0)
+        assert theta.shape == (0,) and info.converged and info.iterations == 0
 
     def test_stationarity_posthoc(self):
         rng = np.random.default_rng(9)
@@ -245,7 +287,7 @@ class TestSolver:
         A = np.diag([1.0, 10.0, 100.0])
         b = np.array([1.0, -2.0, 3.0])
         cfg = SolverConfig(tol=1e-10)
-        x, info = minimize(lambda x: A @ x - b, np.zeros(3), 1.0 / 100, cfg)
+        x, info = minimize(lambda x: A @ x - b, np.zeros(3), 1.0 / 100, 1.0, cfg)
         assert info.converged
         assert np.allclose(x, np.linalg.solve(A, b), atol=1e-8)
 
@@ -254,13 +296,84 @@ class TestSolver:
         b = np.ones(2)
         monkeypatch.setattr(solver, "MAX_ITERS", 1)
         with pytest.raises(ConvergenceError) as exc:
-            minimize(lambda x: A @ x - b, np.zeros(2), 1.0 / 100, SolverConfig(tol=1e-12))
+            minimize(lambda x: A @ x - b, np.zeros(2), 1.0 / 100, 1.0,
+                     SolverConfig(tol=1e-12))
         assert exc.value.theta.shape == (2,)
         assert exc.value.info.grad_sup_norm > 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
+
+    def test_discarded_trial_steps_still_converge(self):
+        # a steep separable softplus with a small ridge: the two-point step
+        # spans the flat side, overshoots into the steep one and is discarded
+        c, mu = 5.0, 0.1
+        b = np.array([1.0, -2.0, 0.5, 3.0])
+        points, grads = [], []
+
+        def counted_grad(x):
+            g = expit(c * (x - b)) + mu * x
+            points.append(x.copy())
+            grads.append(g)
+            return g
+
+        step = 1.0 / (c / 4 + mu)
+        x, info = minimize(counted_grad, np.zeros(4), step, mu, SolverConfig(tol=1e-10))
+        # after a discarded trial the solve takes the plain step from the point
+        # before it, so the next point is that plain step and not the trial
+        discarded = sum(
+            np.allclose(after, before - step * g, rtol=1e-12, atol=0.0)
+            and not np.allclose(trial, after, rtol=1e-12, atol=0.0)
+            for before, g, trial, after in zip(points, grads, points[1:], points[2:]))
+        assert discarded >= 1
+        assert info.converged and info.grad_sup_norm <= 1e-10
+        assert len(grads) == info.iterations + 1
+        assert np.max(np.abs(counted_grad(x))) <= 1e-10
+
+
+def _fixed_step_solve(spec, tol):
+    """The plain 1/L gradient step from zero, as a reference minimizer."""
+    step = 1.0 / smoothness(spec)
+    x = np.zeros(spec.n)
+    while True:
+        g = grad(x, spec)
+        if np.max(np.abs(g), initial=0.0) <= tol:
+            return x
+        x -= step * g
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), form=st.sampled_from(["edge", "individual", "edgeless"]),
+       gamma=st.sampled_from([0.5, 12.0, 228.0]), lam=st.sampled_from([0.0, 1.0, 8.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_solve_agrees_with_fixed_step_and_keeps_the_mean(n, form, gamma, lam, seed):
+    rng = np.random.default_rng(seed)
+    pm = ProbMatrix(n=n, upper=rng.random(n * (n - 1) // 2))
+    if form == "individual":
+        L = int(rng.integers(1, 4))
+        data = sample_individual(n, int(rng.integers(1, 40)), L, pm, seed=rng)
+        calib = PrivacyCalibration(epsilon=1.0, lam=lam, gamma=gamma,
+                                   regime="individual", L=L)
+    else:
+        if form == "edge":
+            graph = sample_er_graph(n, rng.uniform(0.05, 1.0), seed=rng)
+        else:
+            empty = np.array([], dtype=np.int64)
+            graph = ComparisonGraph(n=n, i=empty, j=empty, p=0.01)
+        data = sample_edge_outcomes(graph, pm, seed=rng)
+        calib = PrivacyCalibration(epsilon=1.0, lam=lam, gamma=gamma, regime="edge")
+    theta, info = estimate_full(data, calib, LINK, seed=seed)
+    tol = default_solver_config(gamma).tol
+    w = np.random.default_rng(seed).laplace(scale=lam, size=n)
+    build = (ObjectiveSpec.from_individual if form == "individual"
+             else ObjectiveSpec.from_edge)
+    reference = _fixed_step_solve(build(data, LINK, gamma=gamma, w=w), tol)
+    assert info.converged
+    # strong convexity: ||a - b||_2 <= (||g_a||_2 + ||g_b||_2)/gamma <= 2 sqrt(n) tol/gamma
+    assert np.max(np.abs(theta - reference)) <= 2.0 * math.sqrt(n) * tol / gamma
+    # the gradient's mean is gamma mean(theta) + mean(w), at most tol at the solution
+    assert abs(gamma * theta.mean() + w.mean()) <= tol
 
 
 class TestRankFromScores:
