@@ -83,17 +83,18 @@ def _cmd_estimate(args):
             "iterations": info.iterations,
             "final_grad_sup_norm": info.grad_sup_norm,
             "floor_binding": calib.floor_binding,
+            "utility_guarantee_applies": calib.utility_guarantee_applies,
             "lambda": calib.lam,
             "gamma": calib.gamma,
         },
     }
-    text = json.dumps(out, indent=2)
+    text = json.dumps(out, indent=2, allow_nan=False)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         with open(args.out + ".diag.json", "w", encoding="utf-8") as fh:
-            json.dump(out["diagnostics"], fh, indent=2)
+            json.dump(out["diagnostics"], fh, indent=2, allow_nan=False)
     return 0
 
 
@@ -104,7 +105,7 @@ def _cmd_rank(args):
                                 L=data.L, seed=args.seed)
     names = data.item_names()
     print(json.dumps({"epsilon": eps_token(args.epsilon), "k": args.k,
-                      "top_k": sorted(names[i] for i in top)}, indent=2))
+                      "top_k": sorted(names[i] for i in top)}, indent=2, allow_nan=False))
     return 0
 
 
@@ -125,14 +126,17 @@ def _cmd_audit(args):
     mechanism = audit_mod.CountTopKMechanism(k=k, epsilon=args.epsilon, regime=args.mode,
                                              L=base.L)
     est = audit_mod.estimate_epsilon(mechanism, pair, args.samples, seed=rng)
+    eps_hat = est.epsilon_hat
     print(json.dumps({
         "mode": args.mode,
         "epsilon_declared": eps_token(est.epsilon_declared),
-        "epsilon_hat": est.epsilon_hat,
+        # JSON has no Infinity or NaN: inf is written "inf", an inconclusive NaN null
+        "epsilon_hat": (None if np.isnan(eps_hat) else
+                        eps_hat if np.isfinite(eps_hat) else eps_token(eps_hat)),
         "max_l1_sensitivity": sens.max_l1,
         "per_coordinate_max": sens.per_coordinate_max,
         "samples": est.samples,
-    }, indent=2))
+    }, indent=2, allow_nan=False))
     return 0
 
 

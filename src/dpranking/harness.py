@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import math
-import warnings
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -63,8 +62,12 @@ class ExperimentConfig:
         # csv.writer quotes \n but writes \r bare, which ends a row on reading
         if "\r" in self.preset:
             raise ValueError("config key 'preset' must not hold a carriage return")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for key in ("trials", "L", "master_seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool):  # a bool is an int, and True would run as 1
+                raise ValueError(f"config key {key!r} must be a JSON integer")
+            if key != "master_seed" and value < 1:
+                raise ValueError(f"config key {key!r} must be >= 1, got {value!r}")
         if self.regime not in ("edge", "individual"):
             raise ValueError("regime must be 'edge' or 'individual'")
         if self.regime == "edge" and not self.p_values:
@@ -76,12 +79,11 @@ class ExperimentConfig:
                 raise ValueError(f"config key {key!r} must hold at least one value")
         for key, ok, want in (("n_values", lambda v: v >= 2, "integers >= 2"),
                               ("m_values", lambda v: v >= 1, "integers >= 1"),
-                              ("p_values", lambda v: 0 < v <= 1, "numbers in (0, 1]")):
-            bad = [v for v in getattr(self, key) if not ok(v)]
+                              ("p_values", lambda v: 0 < v <= 1, "numbers in (0, 1]"),
+                              ("epsilon_values", lambda v: v > 0, "numbers > 0 or 'inf'")):
+            bad = [v for v in getattr(self, key) if isinstance(v, bool) or not ok(v)]
             if bad:
                 raise ValueError(f"config key {key!r} must hold {want}, got {bad[0]!r}")
-        if self.L < 1:
-            raise ValueError(f"config key 'L' must be >= 1, got {self.L!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -185,21 +187,17 @@ def _trial_records(cfg: ExperimentConfig, n: int, p, m, eps: float,
     true_set = rank_from_scores(theta_star, k)
 
     if cfg.regime == "edge":
-        graph = sample_er_graph(n, p, seed=rng)
-        dataset = sample_edge_outcomes(graph, rho, seed=rng)
+        dataset = sample_edge_outcomes(sample_er_graph(n, p, seed=rng), rho, seed=rng)
+        calib = calibrate_edge(eps, n, p, link)
     else:
         dataset = sample_individual(n, m, cfg.L, rho, seed=rng)
+        calib = calibrate_individual(eps, n, m, cfg.L, link)
 
     common = dict(experiment=cfg.preset, n=n, epsilon=eps, trial=trial, seed=seed_id,
                   p=p, m=m, L=cfg.L if cfg.regime == "individual" else None)
     records = [TrialRecord(algorithm="truth", metric="theta_star_inf_norm",
                            value=float(np.max(np.abs(theta_star))), **common)]
 
-    with warnings.catch_warnings():
-        # the utility-guarantee warning would repeat on every trial
-        warnings.simplefilter("ignore")
-        calib = (calibrate_edge(eps, n, p, link) if cfg.regime == "edge"
-                 else calibrate_individual(eps, n, m, cfg.L, link))
     theta_hat = estimate(dataset, calib, link, seed=rng)
     est_set = rank_from_scores(theta_hat, k)
     centered = theta_hat - theta_hat.mean()
@@ -259,19 +257,17 @@ CSV_HEADER = ["experiment", "algorithm", "n", "p", "m", "L", "epsilon",
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return format(v, ".12g")
-    return str(v)
+    return format(v, ".12g") if isinstance(v, float) else str(v)
 
 
 def write_records_csv(records: list[TrialRecord], path: str) -> None:
-    """Stable long-format CSV: LF endings, UTF-8, 12-digit floats, minimal quoting."""
+    """Stable long-format CSV: LF endings, UTF-8, 12-digit values, minimal quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows([r.experiment, r.algorithm, _fmt(r.n), _fmt(r.p), _fmt(r.m),
+        # p is written as substream keys it, so the text reads back to that p
+        writer.writerows([r.experiment, r.algorithm, _fmt(r.n),
+                          "" if r.p is None else eps_token(r.p), _fmt(r.m),
                           _fmt(r.L), eps_token(r.epsilon), _fmt(r.trial), r.seed,
                           r.metric, _fmt(r.value)] for r in records)
 

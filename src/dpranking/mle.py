@@ -2,15 +2,15 @@
 
 The estimator minimizes nll + (gamma/2)||theta||^2 + w.theta with i.i.d.
 Laplace(lambda) coordinates in w. The (lambda, gamma) calibration ties the
-mechanism to its (epsilon, 0)-DP guarantee; gamma is the max of the privacy
-floor and the utility-rate value, and ``floor_binding`` records which won.
+mechanism to its (epsilon, 0)-DP guarantee at every epsilon. gamma is the max
+of the privacy floor and the utility-rate value (``floor_binding`` records which
+won), and ``utility_guarantee_applies`` whether the utility bound holds too.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ class PrivacyCalibration:
     regime: str  # "edge" | "individual"
     L: int = 1
     floor_binding: bool = False
+    utility_guarantee_applies: bool = True
 
     def __post_init__(self):
         if self.regime not in ("edge", "individual"):
@@ -76,21 +77,19 @@ def _calibrate(regime: str, epsilon: float, n: int, S: float, L: int,
 
 def calibrate_edge(epsilon: float, n: int, p: float,
                    link: LinkFunction) -> PrivacyCalibration:
-    """Edge DP: L = 1 and S = np; warns when lambda leaves the utility regime.
+    """Edge DP: L = 1, S = np and gamma floor 4 kappa2/eps (half the individual one).
 
-    Its gamma floor 4 kappa2/eps is half the individual floor at L = 1.
+    The utility guarantee applies only while lambda <= sqrt(log n).
     """
     calib = _calibrate("edge", epsilon, n, n * p, 1, 4.0 * link.kappa2, link)
-    if n > 1 and calib.lam > math.sqrt(math.log(n)):
-        warnings.warn(
-            "noise scale exceeds sqrt(log n); the utility guarantee does not "
-            "apply at this epsilon, privacy still holds", stacklevel=2)
-    return calib
+    return replace(calib, utility_guarantee_applies=not (
+        n > 1 and calib.lam > math.sqrt(math.log(n))))
 
 
 def calibrate_individual(epsilon: float, n: int, m: int, L: int,
                          link: LinkFunction) -> PrivacyCalibration:
-    """Individual DP: bundles of L, S = 2mL/n, gamma floor 8 L kappa2/eps."""
+    """Individual DP: bundles of L, S = 2mL/n, gamma floor 8 L kappa2/eps; no utility
+    condition is checked, so ``utility_guarantee_applies`` stays True (ROADMAP item 7)."""
     return _calibrate("individual", epsilon, n, 2.0 * m * L / n, L,
                       8.0 * L * link.kappa2, link)
 

@@ -11,7 +11,6 @@ import pathlib
 import subprocess
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -116,9 +115,7 @@ def test_criterion_03_stationarity(capsys):
         theta_star = generate_theta(30, 8, seed=rng, top_inclusive=True)
         rho = rho_from_theta(theta_star, LINK)
         data = sample_edge_outcomes(sample_er_graph(30, 1.0, seed=rng), rho, seed=rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            calib = calibrate_edge(eps, 30, 1.0, LINK)
+        calib = calibrate_edge(eps, 30, 1.0, LINK)
         theta = estimate(data, calib, LINK, seed=case)
         # replay the perturbation draw and re-evaluate the gradient directly
         w = (np.random.default_rng(case).laplace(scale=calib.lam, size=30)
@@ -246,16 +243,13 @@ def _parametric_errors(regime, n, eps, trials, seed, p=None, m=None, L=None):
     for _ in range(trials):
         theta_star = generate_theta(n, k, seed=rng, top_inclusive=True)
         rho = rho_from_theta(theta_star, LINK)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if regime == "edge":
-                data = sample_edge_outcomes(sample_er_graph(n, p, seed=rng),
-                                            rho, seed=rng)
-                calib = calibrate_edge(eps, n, p, LINK)
-            else:
-                data = sample_individual(n, m, L, rho, seed=rng)
-                calib = calibrate_individual(eps, n, m, L, LINK)
-            theta_hat = estimate(data, calib, LINK, seed=rng)
+        if regime == "edge":
+            data = sample_edge_outcomes(sample_er_graph(n, p, seed=rng), rho, seed=rng)
+            calib = calibrate_edge(eps, n, p, LINK)
+        else:
+            data = sample_individual(n, m, L, rho, seed=rng)
+            calib = calibrate_individual(eps, n, m, L, LINK)
+        theta_hat = estimate(data, calib, LINK, seed=rng)
         errs.append(linf_rel_log_error(theta_hat, theta_star))
     return np.asarray(errs)
 

@@ -1,12 +1,15 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import dpranking
+from dpranking import audit as audit_mod
 from dpranking.cli import main
 
 
@@ -226,3 +229,46 @@ def test_import_leaves_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _strict_json(text):
+    """json.loads that refuses the Infinity and NaN tokens RFC 8259 lacks."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("seed, eps_hat", [(0, "inf"), (2, 0.0)])
+def test_nonprivate_audit_prints_strict_json(capsys, seed, eps_hat):
+    # at epsilon = inf the estimate is inf when the output sets differ, else 0
+    assert main(["audit", "--mode", "edge", "--epsilon", "inf", "--samples", "100000",
+                 "--seed", str(seed)]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["epsilon_hat"] == eps_hat
+    assert payload["epsilon_declared"] == "inf"
+
+
+def test_inconclusive_audit_prints_null(capsys, monkeypatch):
+    real = audit_mod.estimate_epsilon
+    monkeypatch.setattr(audit_mod, "estimate_epsilon", lambda *args, **kwargs: replace(
+        real(*args, **kwargs), epsilon_hat=math.nan, conclusive=False))
+    assert main(["audit", "--mode", "edge", "--epsilon", "1", "--samples", "100000",
+                 "--seed", "0"]) == 0
+    assert _strict_json(capsys.readouterr().out)["epsilon_hat"] is None
+
+
+def test_edge_estimate_reports_utility_guarantee_without_warning(tmp_path):
+    # lambda = 8 at epsilon = 1 exceeds sqrt(log 4): private, outside the utility regime
+    data = tmp_path / "edge.csv"
+    data.write_text("user_id,item_a,item_b,winner\nu1,a,b,a\nu2,b,c,b\n"
+                    "u3,c,d,c\nu4,a,d,a\n")
+    out = tmp_path / "est.json"
+    src = str(pathlib.Path(dpranking.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpranking.cli", "estimate", "--data", str(data),
+         "--mode", "edge", "--epsilon", "1", "--seed", "0", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert _strict_json(proc.stdout)["diagnostics"]["utility_guarantee_applies"] is False
+    sidecar = _strict_json((tmp_path / "est.json.diag.json").read_text())
+    assert sidecar["utility_guarantee_applies"] is False

@@ -15,7 +15,7 @@ from dpranking.harness import (AdjacencyModelError, ExperimentConfig,
                                ParseError, _trial_records, eps_token, ingest,
                                max_mean_rank_diff, parse_eps, preset_config,
                                real_data_eval, run_experiment, substream,
-                               write_records_csv)
+                               TrialRecord, write_records_csv)
 from dpranking.links import logistic_link
 from dpranking.metrics import tau, true_topk
 from dpranking.mle import rank_from_scores
@@ -188,6 +188,12 @@ class TestConfig:
         ("exp2", "p_values", (0.5, 0.0)), ("exp2", "p_values", (1.5,)),
         # csv.writer leaves \r unquoted, so csv.reader would split the row there
         ("exp1", "preset", "a\rb"),
+        # a bad epsilon would otherwise fail only when the sweep reaches it
+        ("exp1", "epsilon_values", (0.0,)), ("exp1", "epsilon_values", (1.0, math.nan)),
+        ("exp1", "epsilon_values", (-1.0,)),
+        # a bool is an int, so True would run as 1
+        ("exp1", "trials", True), ("exp5", "L", True), ("exp1", "master_seed", False),
+        ("exp5", "m_values", (True,)),
     ])
     def test_preset_override_rejects_out_of_range_value(self, preset, key, value):
         with pytest.raises(ValueError, match=f"config key '{key}' must"):
@@ -283,6 +289,18 @@ class TestRunExperiment:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
         assert b",0.3," in outs[0]
+
+    def test_csv_p_reads_back_to_the_keying_p(self, tmp_path):
+        # substream keys on eps_token(p); 12 significant digits would merge the
+        # first two and write 2 ln n/n at n = 1e5 as a value that is not p
+        ps = (0.5, 0.5000000000001, 2 * math.log(1e5) / 1e5)
+        records = [TrialRecord(experiment="x", algorithm="truth", n=10, epsilon=1.0,
+                               trial=0, seed="0", metric="m", value=0.0, p=p)
+                   for p in ps]
+        path = tmp_path / "p.csv"
+        write_records_csv(records, path)
+        with open(path, newline="") as fh:
+            assert tuple(float(row["p"]) for row in csv.DictReader(fh)) == ps
 
     def test_private_edge_trials_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +22,8 @@ LINK = logistic_link()
 
 class TestCalibrateEdge:
     def test_paper_scale_example(self):
-        with pytest.warns(UserWarning, match="noise scale"):
-            calib = calibrate_edge(1.0, 300, 1.0, LINK)
+        calib = calibrate_edge(1.0, 300, 1.0, LINK)
+        assert not calib.utility_guarantee_applies
         assert calib.lam == 8.0
         assert calib.gamma == pytest.approx(228.0)
         assert calib.floor_binding
@@ -42,16 +43,13 @@ class TestCalibrateEdge:
             DEFAULT_C0 * math.sqrt(300 * math.log(300)))
 
     def test_half_epsilon_lambda(self):
-        with pytest.warns(UserWarning, match="noise scale"):
-            calib = calibrate_edge(0.5, 50, 1.0, LINK)
+        calib = calibrate_edge(0.5, 50, 1.0, LINK)
+        assert not calib.utility_guarantee_applies
         assert calib.lam == 16.0
 
     def test_hypothesis_floors_always_hold(self):
-        import warnings
         for eps in (0.5, 1.0, 2.5, 100.0):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                calib = calibrate_edge(eps, 300, 0.5, LINK)
+            calib = calibrate_edge(eps, 300, 0.5, LINK)
             assert calib.lam >= 8 * LINK.kappa1 / eps
             assert calib.gamma >= 4 * LINK.kappa2 / eps
 
@@ -82,9 +80,8 @@ class TestCalibrateIndividual:
         assert not calib.floor_binding
 
     def test_L_one_matches_edge_lambda(self):
-        with pytest.warns(UserWarning, match="noise scale"):
-            assert calibrate_individual(2.0, 10, 5, 1, LINK).lam == \
-                calibrate_edge(2.0, 10, 1.0, LINK).lam
+        assert calibrate_individual(2.0, 10, 5, 1, LINK).lam == \
+            calibrate_edge(2.0, 10, 1.0, LINK).lam
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -111,6 +108,35 @@ class TestCalibrationInvariants:
         with pytest.raises(ValueError):
             PrivacyCalibration(**{"epsilon": 1.0, "lam": 0.0, "gamma": 1.0,
                                   "regime": "edge", field: math.nan})
+
+
+class TestUtilityGuarantee:
+    # the grid crosses lambda = sqrt(log n) at epsilon = 4: 2 <= sqrt(log 300) = 2.39
+    # while 2 > sqrt(log 50) = 1.98
+    EPSILONS = (0.5, 1.0, 2.5, 4.0, math.inf)
+    SIZES = (2, 10, 50, 300)
+
+    def test_edge_field_follows_noise_scale(self):
+        seen = set()
+        for eps in self.EPSILONS:
+            for n in self.SIZES:
+                calib = calibrate_edge(eps, n, 1.0, LINK)
+                expected = n < 2 or calib.lam <= math.sqrt(math.log(n))
+                assert calib.utility_guarantee_applies == expected, (eps, n)
+                seen.add(expected)
+        assert seen == {True, False}
+
+    def test_individual_field_is_always_true(self):
+        for eps in self.EPSILONS:
+            for n in self.SIZES:
+                assert calibrate_individual(eps, n, 40, 5, LINK).utility_guarantee_applies
+
+    def test_calibration_emits_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eps in self.EPSILONS:
+                calibrate_edge(eps, 300, 1.0, LINK)
+                calibrate_individual(eps, 16, 1000, 5, LINK)
 
 
 def _single_edge_dataset():
@@ -253,8 +279,8 @@ class TestEstimate:
         rng = np.random.default_rng(9)
         pm = ProbMatrix(n=10, upper=rng.random(45))
         data = sample_edge_outcomes(sample_er_graph(10, 1.0, seed=3), pm, seed=4)
-        with pytest.warns(UserWarning, match="noise scale"):
-            calib = calibrate_edge(1.0, 10, 1.0, LINK)
+        calib = calibrate_edge(1.0, 10, 1.0, LINK)
+        assert not calib.utility_guarantee_applies
         theta, info = estimate_full(data, calib, LINK, seed=7)
         assert info.converged
         assert info.grad_sup_norm <= default_solver_config(calib.gamma).tol
@@ -275,8 +301,8 @@ class TestEstimate:
 
     def test_perturbation_reproducible(self):
         data = _single_edge_dataset()
-        with pytest.warns(UserWarning, match="noise scale"):
-            calib = calibrate_edge(1.0, 2, 1.0, LINK)
+        calib = calibrate_edge(1.0, 2, 1.0, LINK)
+        assert not calib.utility_guarantee_applies
         t1 = estimate(data, calib, LINK, seed=77)
         t2 = estimate(data, calib, LINK, seed=77)
         assert np.array_equal(t1, t2)
