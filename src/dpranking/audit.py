@@ -3,11 +3,17 @@
 Under user replacement, adjacent datasets differ in one user's whole bundle
 of L comparisons, so each win count moves by at most L and the vector by at
 most 2L in l1; edge adjacency is the L = 1 case. Both bounds are verified
-here on explicit adjacent pairs. For the discrete noisy-count top-k
-mechanism, an empirical epsilon lower bound is estimated from output
-frequencies on an adjacent pair. The perturbed MLE has a continuous output
-space and is excluded from frequency-based estimation; its audit is limited
-to the calibration invariants.
+here on explicit adjacent pairs, all pairs in one pass of array operations.
+Edge-adjacent datasets are enumerated by index: a swap is decoded from its
+position in the (edge, absent pair, outcome) order, so sampled swaps are
+never listed. For the discrete noisy-count top-k mechanism, an empirical
+epsilon lower bound is estimated from output frequencies on an adjacent
+pair. A release's top-k set is read off without sorting: an item is in it
+iff fewer than k items beat it, where j beats i when its noisy count is
+higher, or equal with j < i (ties go to the lower index, as in
+``noisy_topk``). The perturbed MLE has a continuous output space and is
+excluded from frequency-based estimation; its audit is limited to the
+calibration invariants.
 """
 
 from __future__ import annotations
@@ -17,13 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import noisy_counts, win_counts
+from .counts import comparisons, noisy_counts, win_counts
 from .data import (ComparisonGraph, EdgeDataset, IndividualDataset, pair_arrays,
-                   pair_count, unrank)
+                   pair_count, row_starts, unrank)
 from .metrics import descending_order
 
 MIN_EPSILON_SAMPLES = 100_000
 COUNT_FLOOR = 30
+# most variant records sorted per block of enumerate_adjacent
+_VARIANT_BLOCK = 1 << 16
+# most records counted per block of sensitivity_check
+_RECORD_BLOCK = 1 << 18
+# releases ranked per block of output_masks, so each block stays in cache
+_MASK_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -55,43 +67,53 @@ class EpsilonEstimate:
     nonprivate_flag: bool = False
 
 
-def _replace_edge(data: EdgeDataset, edge: int, a: int, b: int, y: int) -> EdgeDataset:
-    """``data`` with record ``edge`` replaced by pair (a, b) won per ``y``, re-sorted."""
-    g = data.graph
-    i_new, j_new, y_new = g.i.copy(), g.j.copy(), data.y.copy()
-    i_new[edge], j_new[edge], y_new[edge] = a, b, y
-    order = np.lexsort((j_new, i_new))
-    graph = ComparisonGraph(n=g.n, i=i_new[order], j=j_new[order], p=g.p)
-    return EdgeDataset(graph=graph, y=y_new[order])
-
-
 def enumerate_adjacent(data: EdgeDataset, budget: int, seed=None) -> list[AdjacentPair]:
     """Adjacent edge datasets: every outcome flip, plus edge-for-edge swaps.
 
     Flips come first, in edge order. A swap replaces one edge by an absent
     pair with either outcome; swaps run by edge, then absent pair in
-    row-major order, then outcome 0 before 1. When they exceed the budget
-    left after flips, that many are sampled without replacement.
+    row-major order, then outcome 0 before 1, so swap (e, a, out) has index
+    (e*A + a)*2 + out among the 2EA swaps (A absent pairs). When they exceed
+    the budget left after flips, that many indices are sampled without
+    replacement and decoded, so no swap list is built.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     g = data.graph
-    flips = list(zip(range(g.n_edges), g.i.tolist(), g.j.tolist(), (1 - data.y).tolist()))
-    swaps = []
-    if budget > len(flips):
-        present = set(zip(g.i.tolist(), g.j.tolist()))
-        absent = [ab for ab in zip(*(t.tolist() for t in pair_arrays(data.n)))
-                  if ab not in present]
-        swaps = [(e, a, b, out) for e in range(g.n_edges) for a, b in absent
-                 for out in (0, 1)]
-        remaining = budget - len(flips)
-        if len(swaps) > remaining:
-            idx = np.random.default_rng(seed).choice(len(swaps), size=remaining,
-                                                     replace=False)
-            swaps = [swaps[t] for t in sorted(idx.tolist())]
-    return [AdjacentPair(data, _replace_edge(data, *edit), kind)
-            for kind, edits in (("edge-flip", flips[:budget]), ("edge-swap", swaps))
-            for edit in edits]
+    n, edges = g.n, g.n_edges
+    # variant v replaces record edge[v] by (i[v], j[v], y[v])
+    edge = np.arange(min(budget, edges))
+    i, j, y = g.i[edge], g.j[edge], 1 - data.y[edge]
+    swaps = np.arange(0)
+    if budget > edges:
+        iu, ju = pair_arrays(n)
+        absent = np.delete(np.arange(len(iu)), row_starts(n)[g.i] + g.j - g.i - 1)
+        total = 2 * edges * len(absent)
+        swaps = (np.arange(total) if total <= budget - edges else np.sort(
+            np.random.default_rng(seed).choice(total, size=budget - edges, replace=False)))
+        swap_edge, a = np.divmod(swaps >> 1, max(len(absent), 1))
+        edge = np.concatenate([edge, swap_edge])
+        i, j = np.concatenate([i, iu[absent[a]]]), np.concatenate([j, ju[absent[a]]])
+        y = np.concatenate([y, swaps & 1])
+    # each variant is the base with key edge[v] replaced, re-sorted; the slot
+    # the sort fills from record edge[v] takes the new record instead
+    keys = g.i.astype(np.int64) * n + g.j
+    new_keys = i.astype(np.int64) * n + j
+    out = [np.empty((len(edge), edges), dtype=f.dtype) for f in (g.i, g.j, data.y)]
+    rows = max(1, _VARIANT_BLOCK // max(edges, 1))
+    for start in range(0, len(edge), rows):
+        block = slice(start, start + rows)
+        edited = np.repeat(keys[None], len(edge[block]), axis=0)
+        edited[np.arange(len(edited)), edge[block]] = new_keys[block]
+        order = edited.argsort(axis=1, kind="stable")
+        moved = order == edge[block, None]
+        for field, new, dest in zip((g.i, g.j, data.y), (i, j, y), out):
+            np.take(field, order, out=dest[block])
+            dest[block][moved] = new[block]
+    kinds = ["edge-flip"] * (len(edge) - len(swaps)) + ["edge-swap"] * len(swaps)
+    return [AdjacentPair(data, EdgeDataset(graph=ComparisonGraph(n=n, i=vi, j=vj, p=g.p),
+                                           y=vy), kind)
+            for kind, vi, vj, vy in zip(kinds, *out)]
 
 
 def replace_user(data: IndividualDataset, user: int, records) -> IndividualDataset:
@@ -146,24 +168,50 @@ def extremal_user_pair(data: IndividualDataset, k: int) -> AdjacentPair:
 def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:
     """Max l1 and per-coordinate change of win counts over adjacent pairs.
 
-    Raises SensitivityViolation when a pair moves a count by more than L or
-    the vector by more than 2L in l1; an edge dataset's L is 1.
+    Raises SensitivityViolation on the first pair that moves a count by more
+    than L or the vector by more than 2L in l1; an edge dataset's L is 1.
+    All pairs are checked in one pass: the win counts of every distinct
+    dataset come from offset ``bincount`` calls over blocks of datasets.
     """
-    max_l1 = 0.0
-    max_coord = 0.0
-    for pair in pairs:
-        delta = win_counts(pair.base) - win_counts(pair.variant)
-        l1 = float(np.abs(delta).sum())
-        coord = float(np.abs(delta).max()) if len(delta) else 0.0
-        max_l1 = max(max_l1, l1)
-        max_coord = max(max_coord, coord)
-        L = pair.base.L
-        if coord > L:
+    if not pairs:
+        return SensitivityReport(max_l1=0.0, per_coordinate_max=0.0, pairs_checked=0)
+    if any(pair.base.n != pair.variant.n for pair in pairs):
+        raise ValueError("adjacent datasets must have the same n")
+    datasets = {id(d): d for pair in pairs for d in (pair.base, pair.variant)}
+    records = [comparisons(d) for d in datasets.values()]
+    # n + 1 count slots per dataset: the spare slot stays 0, so an itemless
+    # pair still has a nonempty segment
+    size = np.array([d.n + 1 for d in datasets.values()], dtype=np.int64)
+    bounds = np.concatenate([[0], np.cumsum(size)])
+    offset = dict(zip(datasets, bounds.tolist()))
+    counts = np.zeros(bounds[-1], dtype=np.int64)
+    step = max(1, _RECORD_BLOCK // max(1, *(len(r[0]) for r in records)))
+    for lo in range(0, len(records), step):
+        hi = min(lo + step, len(records))
+        i, j, y = (np.concatenate(field) for field in zip(*records[lo:hi]))
+        winners = np.where(y == 1, i, j).astype(np.int64, copy=False)
+        winners += np.repeat(bounds[lo:hi] - bounds[lo], [len(r[0]) for r in records[lo:hi]])
+        counts[bounds[lo]:bounds[hi]] = np.bincount(winners,
+                                                    minlength=bounds[hi] - bounds[lo])
+
+    width = np.array([pair.base.n + 1 for pair in pairs], dtype=np.int64)
+    starts = np.cumsum(width) - width
+    slot = np.arange(int(width.sum())) - np.repeat(starts, width)
+    base = np.repeat([offset[id(pair.base)] for pair in pairs], width) + slot
+    variant = np.repeat([offset[id(pair.variant)] for pair in pairs], width) + slot
+    delta = np.abs(counts[base] - counts[variant])
+    l1 = np.add.reduceat(delta, starts)
+    coord = np.maximum.reduceat(delta, starts)
+    L = np.array([pair.base.L for pair in pairs], dtype=np.int64)
+    bad = np.flatnonzero((coord > L) | (l1 > 2 * L))
+    if len(bad):
+        t = bad[0]
+        pair, L = pairs[t], pairs[t].base.L
+        if coord[t] > L:
             raise SensitivityViolation(
-                f"per-coordinate sensitivity {coord} > L={L}", pair)
-        if l1 > 2 * L:
-            raise SensitivityViolation(f"l1 sensitivity {l1} > 2L={2 * L}", pair)
-    return SensitivityReport(max_l1=max_l1, per_coordinate_max=max_coord,
+                f"per-coordinate sensitivity {float(coord[t])} > L={L}", pair)
+        raise SensitivityViolation(f"l1 sensitivity {float(l1[t])} > 2L={2 * L}", pair)
+    return SensitivityReport(max_l1=float(l1.max()), per_coordinate_max=float(coord.max()),
                              pairs_checked=len(pairs))
 
 
@@ -182,7 +230,11 @@ class CountTopKMechanism:
             raise ValueError(f"k={self.k} must be >= 1")
 
     def output_masks(self, data, samples: int, rng: np.random.Generator) -> np.ndarray:
-        """Top-k sets (bitmasks over items) of ``samples`` ``noisy_counts`` releases."""
+        """Top-k sets (bitmasks over items) of ``samples`` ``noisy_counts`` releases.
+
+        Item i is in a release's top k iff fewer than k items beat it: j beats
+        i when its noisy count is higher, or equal with j < i.
+        """
         counts = win_counts(data).astype(float)
         n = len(counts)
         if n > 62:
@@ -192,10 +244,18 @@ class CountTopKMechanism:
             raise ValueError(f"k={self.k} must be below n={n}")
         noisy = noisy_counts(np.broadcast_to(counts, (samples, n)), self.epsilon,
                              self.regime, self.L, seed=rng)
-        order = descending_order(noisy)[:, :self.k]
         masks = np.zeros(samples, dtype=np.int64)
-        for col in range(self.k):
-            masks |= np.int64(1) << order[:, col].astype(np.int64)
+        for start in range(0, samples, _MASK_BLOCK):
+            x = noisy[start:start + _MASK_BLOCK].T.copy()
+            # beaten[i]: how many items beat item i, one comparison per pair
+            beaten = np.zeros(x.shape, dtype=np.uint8)
+            for a in range(n - 1):
+                a_wins = x[a] >= x[a + 1:]
+                beaten[a + 1:] += a_wins
+                beaten[a] += n - 1 - a - a_wins.sum(axis=0, dtype=np.uint8)
+            block = masks[start:start + _MASK_BLOCK]
+            for item, top in enumerate(beaten < self.k):
+                block |= top.astype(np.int64) << item
         return masks
 
 

@@ -18,14 +18,18 @@ from .metrics import descending_order, rank_from_scores
 __all__ = ["win_counts", "noise_scale", "noisy_counts", "noisy_topk", "noisy_full_ranking"]
 
 
+def comparisons(data: EdgeDataset | IndividualDataset) -> tuple[np.ndarray, ...]:
+    """The (i, j, y) arrays of every comparison, y = 1 iff i won."""
+    if isinstance(data, EdgeDataset):
+        return data.graph.i, data.graph.j, data.y
+    if isinstance(data, IndividualDataset):
+        return data.i, data.j, data.y
+    raise TypeError(f"unsupported dataset type {type(data).__name__}")
+
+
 def win_counts(data: EdgeDataset | IndividualDataset) -> np.ndarray:
     """Total wins per item; the counts sum to the number of comparisons."""
-    if isinstance(data, EdgeDataset):
-        i, j, y = data.graph.i, data.graph.j, data.y
-    elif isinstance(data, IndividualDataset):
-        i, j, y = data.i, data.j, data.y
-    else:
-        raise TypeError(f"unsupported dataset type {type(data).__name__}")
+    i, j, y = comparisons(data)
     winners = np.where(y == 1, i, j)
     return np.bincount(winners, minlength=data.n).astype(np.int64)
 
@@ -49,7 +53,9 @@ def noisy_counts(counts: np.ndarray, epsilon: float, regime: str,
     """
     counts = np.asarray(counts, dtype=float)
     rng = np.random.default_rng(seed)
-    return counts + rng.laplace(scale=noise_scale(epsilon, regime, L), size=counts.shape)
+    noisy = rng.laplace(scale=noise_scale(epsilon, regime, L), size=counts.shape)
+    noisy += counts
+    return noisy
 
 
 def noisy_topk(counts: np.ndarray, k: int, epsilon: float, regime: str,

@@ -125,12 +125,12 @@ class ComparisonGraph:
     def __post_init__(self):
         if self.i.shape != self.j.shape:
             raise ValueError("edge index arrays must have equal length")
-        if self.n_edges and (np.any(self.i >= self.j) or np.any(self.i < 0)
-                             or np.any(self.j >= self.n)):
+        if self.n_edges and ((self.i >= self.j).any() or self.i.min() < 0
+                             or self.j.max() >= self.n):
             raise ValueError("edges must satisfy 0 <= i < j < n")
         # strictly increasing keys rule out duplicates in one O(E) pass
-        key = self.i.astype(np.int64) * self.n + self.j
-        if np.any(key[1:] <= key[:-1]):
+        key = self.i.astype(np.int64, copy=False) * self.n + self.j
+        if (key[1:] <= key[:-1]).any():
             raise ValueError("edges must be sorted by (i, j) without duplicates")
 
     @property

@@ -14,6 +14,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -64,7 +65,8 @@ class ExperimentConfig:
             raise ValueError("config key 'preset' must not hold a carriage return")
         for key in ("trials", "L", "master_seed"):
             value = getattr(self, key)
-            if isinstance(value, bool):  # a bool is an int, and True would run as 1
+            # a bool is an int, and True would run as 1
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"config key {key!r} must be a JSON integer")
             if key != "master_seed" and value < 1:
                 raise ValueError(f"config key {key!r} must be >= 1, got {value!r}")
@@ -77,11 +79,13 @@ class ExperimentConfig:
         for key in ("n_values", "epsilon_values"):
             if not getattr(self, key):
                 raise ValueError(f"config key {key!r} must hold at least one value")
-        for key, ok, want in (("n_values", lambda v: v >= 2, "integers >= 2"),
-                              ("m_values", lambda v: v >= 1, "integers >= 1"),
-                              ("p_values", lambda v: 0 < v <= 1, "numbers in (0, 1]"),
-                              ("epsilon_values", lambda v: v > 0, "numbers > 0 or 'inf'")):
-            bad = [v for v in getattr(self, key) if isinstance(v, bool) or not ok(v)]
+        for key, kind, ok, want in (
+                ("n_values", Integral, lambda v: v >= 2, "integers >= 2"),
+                ("m_values", Integral, lambda v: v >= 1, "integers >= 1"),
+                ("p_values", Real, lambda v: 0 < v <= 1, "numbers in (0, 1]"),
+                ("epsilon_values", Real, lambda v: v > 0, "numbers > 0 or 'inf'")):
+            bad = [v for v in getattr(self, key)
+                   if isinstance(v, bool) or not isinstance(v, kind) or not ok(v)]
             if bad:
                 raise ValueError(f"config key {key!r} must hold {want}, got {bad[0]!r}")
 
@@ -100,9 +104,6 @@ class ExperimentConfig:
                     isinstance(v, kind) and not isinstance(v, bool) for v in raw[key])):
                 raise ValueError(f"config key {key!r} must be a JSON array of "
                                  f"{'integers' if kind is int else 'numbers'}")
-        for key in ("L", "trials", "master_seed"):
-            if key in raw and (not isinstance(raw[key], int) or isinstance(raw[key], bool)):
-                raise ValueError(f"config key {key!r} must be a JSON integer")
         # the preset names the CSV's experiment column; a null output_path is stdout
         for key, kind in (("preset", str), ("output_path", (str, type(None)))):
             if not isinstance(raw.get(key, ""), kind):

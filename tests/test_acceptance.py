@@ -15,8 +15,8 @@ import time
 import numpy as np
 
 from dpranking.audit import (CountTopKMechanism, enumerate_adjacent,
-                             estimate_epsilon, sensitivity_check,
-                             user_replacement_pairs)
+                             estimate_epsilon, extremal_user_pair,
+                             sensitivity_check, user_replacement_pairs)
 from dpranking.counts import noisy_topk, win_counts
 from dpranking.data import (ProbMatrix, generate_theta, rho_from_theta,
                             sample_edge_outcomes, sample_er_graph,
@@ -24,8 +24,9 @@ from dpranking.data import (ProbMatrix, generate_theta, rho_from_theta,
 from dpranking.harness import ingest, real_data_eval
 from dpranking.likelihood import ObjectiveSpec, grad, hessian, objective
 from dpranking.links import logistic_link
-from dpranking.metrics import (linf_rel_log_error, separation_threshold, tau,
-                               topk_overlap_loss, true_topk)
+from dpranking.metrics import (descending_order, linf_rel_log_error,
+                               separation_threshold, tau, topk_overlap_loss,
+                               true_topk)
 from dpranking.mle import (PrivacyCalibration, calibrate_edge,
                            calibrate_individual, default_solver_config,
                            estimate)
@@ -180,20 +181,33 @@ def test_criterion_05_empirical_epsilon(capsys):
     ind_data = sample_individual(4, 30, 5, rho, seed=rng)
     ind_pair = user_replacement_pairs(ind_data, 1, seed=rng)[0]
 
+    # worst cases beside the random pairs: the flip of the edge between the
+    # k-th and (k+1)-th items by win count, and user 0's bundle on that
+    # boundary pair of the other users' counts, won by opposite items
+    g = edge_data.graph
+    boundary = sorted(descending_order(win_counts(edge_data))[1:3].tolist())
+    (edge,) = np.flatnonzero((g.i == boundary[0]) & (g.j == boundary[1]))
+    boundary_flip = enumerate_adjacent(edge_data, budget=g.n_edges, seed=rng)[edge]
+    extremal = extremal_user_pair(ind_data, 2)
+    assert sensitivity_check([boundary_flip, extremal]).max_l1 == 10
+
     worst_excess = -math.inf
     results = []
-    for eps in (0.5, 1.0, 2.5):
-        for regime, pair, L in (("edge", edge_pair, 1), ("individual", ind_pair, 5)):
-            mech = CountTopKMechanism(k=2, epsilon=eps, regime=regime, L=L)
-            est = estimate_epsilon(mech, pair, samples=1_000_000, seed=rng)
-            assert est.conclusive
-            results.append((regime, eps, est.epsilon_hat))
-            worst_excess = max(worst_excess, est.epsilon_hat - eps)
+    for cases in ((("edge", edge_pair, 1), ("individual", ind_pair, 5)),
+                  (("edge", boundary_flip, 1), ("individual", extremal, 5))):
+        for eps in (0.5, 1.0, 2.5):
+            for regime, pair, L in cases:
+                mech = CountTopKMechanism(k=2, epsilon=eps, regime=regime, L=L)
+                est = estimate_epsilon(mech, pair, samples=1_000_000, seed=rng)
+                assert est.conclusive
+                results.append((regime, eps, est.epsilon_hat))
+                worst_excess = max(worst_excess, est.epsilon_hat - eps)
     elapsed = time.time() - start
     ok = worst_excess <= 0.1 and elapsed < 300
     _report(capsys, 5, ok,
             f"max (epsilon_hat - epsilon) {worst_excess:+.3f} <= 0.1 over "
-            f"eps x regime grid, 1e6 replays each, {elapsed:.0f}s < 300s")
+            f"eps x regime grid on random and worst-case pairs, 1e6 replays "
+            f"each, {elapsed:.0f}s < 300s")
 
 
 def _recovery_rate(regime, n, k, gap, eps, trials, seed, p=None, m=None, L=None):

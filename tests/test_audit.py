@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpranking.audit import (AdjacentPair, CountTopKMechanism,
-                             SensitivityViolation, enumerate_adjacent,
-                             estimate_epsilon, extremal_user_pair, replace_user,
-                             sensitivity_check, user_replacement_pairs)
-from dpranking.counts import noisy_topk, win_counts
+from dpranking.audit import (_MASK_BLOCK, AdjacentPair, CountTopKMechanism,
+                             SensitivityReport, SensitivityViolation,
+                             enumerate_adjacent, estimate_epsilon,
+                             extremal_user_pair, replace_user, sensitivity_check,
+                             user_replacement_pairs)
+from dpranking.counts import noisy_counts, noisy_topk, win_counts
 from dpranking.data import (ComparisonGraph, EdgeDataset, IndividualDataset,
                             ProbMatrix, pair_arrays, pair_count, rho_from_theta,
                             sample_edge_outcomes, sample_er_graph, sample_individual)
@@ -269,3 +270,216 @@ class TestEstimateEpsilon:
         counts_ok = mech.output_masks(big, 10, rng)
         assert counts_ok.shape == (10,)
 
+
+
+def _counted(counts):
+    """An L = 1 dataset in which item t wins exactly ``counts[t]`` comparisons."""
+    n = len(counts)
+    winner = np.repeat(np.arange(n), counts)
+    other = (winner + 1) % n
+    i, j = np.minimum(winner, other), np.maximum(winner, other)
+    return IndividualDataset(n=n, m=len(winner), L=1, i=i, j=j,
+                             y=(winner == i).astype(np.int8))
+
+
+def _argsort_masks(counts, k, epsilon, samples, rng):
+    """Top-k bitmasks of each release by a stable argsort: ties to the lower index."""
+    noisy = noisy_counts(np.broadcast_to(np.asarray(counts, dtype=float),
+                                         (samples, len(counts))),
+                         epsilon, "individual", 1, seed=rng)
+    top = np.argsort(-noisy, axis=1, kind="stable")[:, :k].astype(np.int64)
+    return np.bitwise_or.reduce(np.int64(1) << top, axis=1)
+
+
+class TestOutputMasksMatchArgsort:
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(0, 3), min_size=2, max_size=62),
+           epsilon=st.sampled_from([math.inf, 0.5]), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_tied_counts(self, counts, epsilon, seed, data):
+        k = data.draw(st.integers(1, len(counts) - 1))
+        ds = _counted(counts)
+        assert win_counts(ds).tolist() == counts
+        mech = CountTopKMechanism(k=k, epsilon=epsilon, regime="individual")
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        masks = mech.output_masks(ds, 40, rng)
+        assert masks.dtype == np.int64
+        assert masks.tolist() == _argsort_masks(counts, k, epsilon, 40, twin).tolist()
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("epsilon", [math.inf, 1.0])
+    def test_across_replay_blocks(self, epsilon):
+        # more releases than one block holds, with every count tied
+        samples = 2 * _MASK_BLOCK + 3
+        mech = CountTopKMechanism(k=3, epsilon=epsilon, regime="individual")
+        masks = mech.output_masks(_counted([2] * 7), samples, np.random.default_rng(5))
+        want = _argsort_masks([2] * 7, 3, epsilon, samples, np.random.default_rng(5))
+        assert np.array_equal(masks, want)
+        if math.isinf(epsilon):
+            assert set(masks.tolist()) == {0b111}
+
+    def test_highest_bit_item(self):
+        # n = 62 puts item 61 at bit 61, the last the encoding allows
+        counts = [0] * 61 + [5]
+        mech = CountTopKMechanism(k=1, epsilon=math.inf, regime="individual")
+        masks = mech.output_masks(_counted(counts), 3, np.random.default_rng(0))
+        assert masks.tolist() == [1 << 61] * 3
+
+
+def _per_edit_adjacent(data, budget, rng):
+    """The swap list, sampled, then applied one edit at a time: copy, set, lexsort."""
+    g = data.graph
+    flips = [(e, a, b, 1 - y) for e, (a, b, y) in
+             enumerate(zip(g.i.tolist(), g.j.tolist(), data.y.tolist()))]
+    swaps = []
+    if budget > len(flips):
+        present = set(zip(g.i.tolist(), g.j.tolist()))
+        absent = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)
+                  if (a, b) not in present]
+        swaps = [(e, a, b, out) for e in range(g.n_edges) for a, b in absent
+                 for out in (0, 1)]
+        if len(swaps) > budget - len(flips):
+            idx = rng.choice(len(swaps), size=budget - len(flips), replace=False)
+            swaps = [swaps[t] for t in sorted(idx.tolist())]
+    out = []
+    for kind, edits in (("edge-flip", flips[:budget]), ("edge-swap", swaps)):
+        for e, a, b, y in edits:
+            i, j, y_new = g.i.copy(), g.j.copy(), data.y.copy()
+            i[e], j[e], y_new[e] = a, b, y
+            order = np.lexsort((j, i))
+            out.append((kind, i[order], j[order], y_new[order]))
+    return out
+
+
+class TestEnumerateMatchesPerEdit:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+           index_dtype=st.sampled_from([np.int64, np.int32]))
+    def test_budgets(self, n, seed, index_dtype):
+        rng = np.random.default_rng(seed)
+        g = sample_er_graph(n, float(rng.uniform(0.2, 1.0)), seed=rng)
+        g = ComparisonGraph(n=n, i=g.i.astype(index_dtype), j=g.j.astype(index_dtype),
+                            p=g.p)
+        data = sample_edge_outcomes(g, ProbMatrix(n=n, upper=rng.random(pair_count(n))),
+                                    seed=rng)
+        edges = g.n_edges
+        for budget in sorted({1, max(edges, 1), edges + 1, edges + 37, max(3 * edges, 1)}):
+            ours, twin = np.random.default_rng(budget), np.random.default_rng(budget)
+            pairs = enumerate_adjacent(data, budget, seed=ours)
+            want = _per_edit_adjacent(data, budget, twin)
+            assert [p.adjacency_kind for p in pairs] == [w[0] for w in want]
+            for p, (_, i, j, y) in zip(pairs, want):
+                for got, ref in zip((p.variant.graph.i, p.variant.graph.j, p.variant.y),
+                                    (i, j, y)):
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+                assert p.base is data and p.variant.graph.p == g.p
+            assert ours.random() == twin.random()
+
+    def test_sampled_swaps_need_no_swap_list(self):
+        # at n = 80 and p = 1/2 there are about 4.8M swaps; listing them as
+        # tuples took about 456 MB, while the 1,566 datasets returned hold 41 MB
+        rng = np.random.default_rng(0)
+        data = sample_edge_outcomes(sample_er_graph(80, 0.5, seed=rng),
+                                    ProbMatrix(n=80, upper=rng.random(pair_count(80))),
+                                    seed=rng)
+        budget = data.graph.n_edges + 10
+        tracemalloc.start()
+        try:
+            pairs = enumerate_adjacent(data, budget, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == budget
+        assert [p.adjacency_kind for p in pairs].count("edge-swap") == 10
+        assert peak < 50_000_000
+
+
+def _per_pair_sensitivity(pairs):
+    """Each pair's counts compared in turn, raising at the first violation."""
+    max_l1 = max_coord = 0.0
+    for pair in pairs:
+        delta = np.abs(win_counts(pair.base) - win_counts(pair.variant))
+        l1, coord = float(delta.sum()), float(delta.max()) if len(delta) else 0.0
+        max_l1, max_coord = max(max_l1, l1), max(max_coord, coord)
+        L = pair.base.L
+        if coord > L:
+            raise SensitivityViolation(f"per-coordinate sensitivity {coord} > L={L}", pair)
+        if l1 > 2 * L:
+            raise SensitivityViolation(f"l1 sensitivity {l1} > 2L={2 * L}", pair)
+    return SensitivityReport(max_l1=max_l1, per_coordinate_max=max_coord,
+                             pairs_checked=len(pairs))
+
+
+def _outcome(check, pairs):
+    try:
+        return check(pairs)
+    except SensitivityViolation as exc:
+        return str(exc), exc.pair
+
+
+def _pair_pool(seed):
+    """Edge and user-replacement pairs of several n and L, adjacent or forged."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for n in (2, 3, 5):
+        data = _edge_dataset(n, p=0.7, seed=int(rng.integers(1000)))
+        pool += enumerate_adjacent(data, budget=4, seed=rng)
+        # every outcome flipped: the counts move by up to n - 1 and 2E in l1
+        flipped = EdgeDataset(graph=data.graph, y=(1 - data.y).astype(np.int8))
+        pool.append(AdjacentPair(data, flipped, "edge-flip"))
+    for n, L in ((3, 1), (4, 3), (6, 2)):
+        data = sample_individual(n, 5, L, ProbMatrix(n=n, upper=rng.random(pair_count(n))),
+                                 seed=rng)
+        pool += user_replacement_pairs(data, 3, seed=rng)
+        pool.append(extremal_user_pair(data, 1))
+        # two users replaced: within L per item, up to 4L in l1
+        twice = user_replacement_pairs(user_replacement_pairs(data, 1, seed=rng)[0].variant,
+                                       1, seed=rng)[0].variant
+        pool.append(AdjacentPair(data, twice, "user-replacement"))
+    itemless = EdgeDataset(graph=ComparisonGraph(n=0, i=np.zeros(0, dtype=np.int64),
+                                                 j=np.zeros(0, dtype=np.int64), p=1.0),
+                           y=np.zeros(0, dtype=np.int8))
+    pool.append(AdjacentPair(itemless, itemless, "edge-flip"))
+    return pool
+
+
+class TestSensitivityMatchesPerPair:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_mixed_pairs(self, seed, data):
+        pool = _pair_pool(seed)
+        pairs = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+        assert _outcome(sensitivity_check, pairs) == _outcome(_per_pair_sensitivity, pairs)
+
+    def test_empty_list(self):
+        assert sensitivity_check([]) == SensitivityReport(0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_datasets_without_records(self, n):
+        none = np.zeros(0, dtype=np.int64)
+        data = EdgeDataset(graph=ComparisonGraph(n=n, i=none, j=none, p=1.0),
+                           y=np.zeros(0, dtype=np.int8))
+        pairs = [AdjacentPair(data, data, "edge-flip")] * 2
+        assert sensitivity_check(pairs) == SensitivityReport(0.0, 0.0, 2)
+
+    def test_first_violation_is_reported(self):
+        ok = enumerate_adjacent(_edge_dataset(4), budget=1, seed=0)[0]
+        # l1 = 4 > 2 while each count moves by 1: edges (0, 1) and (2, 3) flipped
+        g = ComparisonGraph(n=4, i=np.array([0, 2]), j=np.array([1, 3]), p=1.0)
+        wide = AdjacentPair(EdgeDataset(g, np.array([1, 1], dtype=np.int8)),
+                            EdgeDataset(g, np.array([0, 0], dtype=np.int8)), "edge-flip")
+        # item 0 loses both its wins, more than L = 1
+        g3 = ComparisonGraph(n=3, i=np.array([0, 0]), j=np.array([1, 2]), p=1.0)
+        tall = AdjacentPair(EdgeDataset(g3, np.array([1, 1], dtype=np.int8)),
+                            EdgeDataset(g3, np.array([0, 0], dtype=np.int8)), "edge-flip")
+        for pairs, message, culprit in (
+                ([ok, wide, tall], "l1 sensitivity 4.0 > 2L=2", wide),
+                ([ok, tall, wide], "per-coordinate sensitivity 2.0 > L=1", tall)):
+            with pytest.raises(SensitivityViolation) as info:
+                sensitivity_check(pairs)
+            assert str(info.value) == message and info.value.pair is culprit
+
+    def test_datasets_must_share_n(self):
+        pair = AdjacentPair(_edge_dataset(3), _edge_dataset(4), "edge-flip")
+        with pytest.raises(ValueError, match="same n"):
+            sensitivity_check([pair])

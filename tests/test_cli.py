@@ -209,6 +209,20 @@ def test_audit_individual_subcommand(capsys):
     assert payload["epsilon_hat"] <= 1.2
 
 
+@pytest.mark.parametrize("mode, eps_hat, l1, coord", [
+    ("edge", 0.7211235036764633, 2.0, 1.0),
+    ("individual", 0.7871293389207509, 10.0, 5.0),
+])
+def test_audit_output_is_pinned(capsys, mode, eps_hat, l1, coord):
+    # the replay stream, the top-k rule and the pair are fixed by the seed, so
+    # any change to them shows as a different epsilon_hat
+    assert main(["audit", "--mode", mode, "--epsilon", "1", "--samples", "200000",
+                 "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "mode": mode, "epsilon_declared": "1", "epsilon_hat": eps_hat,
+        "max_l1_sensitivity": l1, "per_coordinate_max": coord, "samples": 200000}
+
+
 def test_ingest_rank_subcommand(cems_path, tmp_path):
     out = tmp_path / "rank.csv"
     rc = main(["ingest-rank", "--data", cems_path, "--epsilons", "1,inf",

@@ -199,6 +199,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"config key '{key}' must"):
             replace(preset_config(preset), **{key: value})
 
+    @pytest.mark.parametrize("preset, key, value", [
+        # built from Python, a float count would fail only inside the sweep
+        ("exp5", "trials", 2.5), ("exp5", "L", 5.0), ("exp1", "master_seed", 1.5),
+        ("exp5", "n_values", (8.0,)), ("exp5", "m_values", (100, 2.5)),
+        # a string would otherwise raise TypeError at the range comparison
+        ("exp2", "p_values", ("0.5",)), ("exp1", "epsilon_values", ("1",)),
+    ])
+    def test_preset_override_rejects_wrong_type(self, preset, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' must"):
+            replace(preset_config(preset), **{key: value})
+
+    def test_preset_override_accepts_numpy_numbers(self):
+        cfg = replace(preset_config("exp5"), trials=np.int64(2), n_values=(np.int32(8),),
+                      epsilon_values=(np.float64(1.0), math.inf))
+        assert cfg.trials == 2 and cfg.n_values == (8,)
+
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             ExperimentConfig(preset="custom", regime="edge", n_values=(10,),
