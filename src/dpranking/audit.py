@@ -3,7 +3,8 @@
 Under user replacement, adjacent datasets differ in one user's whole bundle
 of L comparisons, so each win count moves by at most L and the vector by at
 most 2L in l1; edge adjacency is the L = 1 case. Both bounds are verified
-here on explicit adjacent pairs, all pairs in one pass of array operations.
+here on explicit adjacent pairs, all pairs in one pass of array operations
+over the (i, j, y) records, read the same way for either dataset type.
 Edge-adjacent datasets are enumerated by index: a swap is decoded from its
 position in the (edge, absent pair, outcome) order, so sampled swaps are
 never listed. For the discrete noisy-count top-k mechanism, an empirical
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import comparisons, noisy_counts, win_counts
+from .counts import noisy_counts, win_counts
 from .data import (ComparisonGraph, EdgeDataset, IndividualDataset, pair_arrays,
                    pair_count, row_starts, unrank)
 from .metrics import descending_order
@@ -111,9 +112,8 @@ def enumerate_adjacent(data: EdgeDataset, budget: int, seed=None) -> list[Adjace
             np.take(field, order, out=dest[block])
             dest[block][moved] = new[block]
     kinds = ["edge-flip"] * (len(edge) - len(swaps)) + ["edge-swap"] * len(swaps)
-    return [AdjacentPair(data, EdgeDataset(graph=ComparisonGraph(n=n, i=vi, j=vj, p=g.p),
-                                           y=vy), kind)
-            for kind, vi, vj, vy in zip(kinds, *out)]
+    return [AdjacentPair(data, EdgeDataset(graph=ComparisonGraph(n=n, i=vi, j=vj), y=vy),
+                         kind) for kind, vi, vj, vy in zip(kinds, *out)]
 
 
 def replace_user(data: IndividualDataset, user: int, records) -> IndividualDataset:
@@ -154,9 +154,7 @@ def extremal_user_pair(data: IndividualDataset, k: int) -> AdjacentPair:
     """
     if not 1 <= k < data.n:
         raise ValueError("k must lie in [1, n-1]")
-    others = slice(data.L, None)
-    wins = np.bincount(np.where(data.y[others] == 1, data.i[others], data.j[others]),
-                       minlength=data.n)
+    wins = np.bincount(data.winners()[data.L:], minlength=data.n)
     lo, hi = sorted(int(t) for t in descending_order(wins)[k - 1:k + 1])
     bundle = (np.full(data.L, lo), np.full(data.L, hi))
     return AdjacentPair(
@@ -178,7 +176,8 @@ def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:
     if any(pair.base.n != pair.variant.n for pair in pairs):
         raise ValueError("adjacent datasets must have the same n")
     datasets = {id(d): d for pair in pairs for d in (pair.base, pair.variant)}
-    records = [comparisons(d) for d in datasets.values()]
+    # one np.where per block of datasets, not a winners() call per dataset
+    records = [(d.i, d.j, d.y) for d in datasets.values()]
     # n + 1 count slots per dataset: the spare slot stays 0, so an itemless
     # pair still has a nonempty segment
     size = np.array([d.n + 1 for d in datasets.values()], dtype=np.int64)

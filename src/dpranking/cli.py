@@ -11,7 +11,8 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import counts as counts_mod
-from .data import sample_er_graph, sample_edge_outcomes, rho_from_theta, generate_theta, sample_individual
+from .data import (generate_theta, pair_count, rho_from_theta, sample_edge_outcomes,
+                   sample_er_graph, sample_individual)
 from .harness import (ExperimentConfig, eps_token, ingest, parse_eps, real_data_eval,
                       run_experiment, write_records_csv)
 from .links import get_link
@@ -68,7 +69,7 @@ def _cmd_estimate(args):
     link = get_link("logistic")
     data = ingest(args.data, mode=args.mode)
     if args.mode == "edge":
-        calib = calibrate_edge(args.epsilon, data.n, data.graph.p, link)
+        calib = calibrate_edge(args.epsilon, data.n, len(data.y) / pair_count(data.n), link)
     else:
         calib = calibrate_individual(args.epsilon, data.n, data.m, data.L, link)
     theta, info = estimate_full(data, calib, link, seed=args.seed)

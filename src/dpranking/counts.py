@@ -5,7 +5,8 @@ datasets differ by replacing one user's whole bundle of L comparisons, which
 takes up to L wins from some items and gives up to L to others, an l1 change
 of at most 2L; edge DP is the L = 1 case. Top-k selection and full ranking
 post-process one shared noise draw, so nested top-k sets are consistent at no
-extra privacy cost.
+extra privacy cost. A dataset of either type is counted from its
+``winners()``.
 """
 
 from __future__ import annotations
@@ -18,20 +19,9 @@ from .metrics import descending_order, rank_from_scores
 __all__ = ["win_counts", "noise_scale", "noisy_counts", "noisy_topk", "noisy_full_ranking"]
 
 
-def comparisons(data: EdgeDataset | IndividualDataset) -> tuple[np.ndarray, ...]:
-    """The (i, j, y) arrays of every comparison, y = 1 iff i won."""
-    if isinstance(data, EdgeDataset):
-        return data.graph.i, data.graph.j, data.y
-    if isinstance(data, IndividualDataset):
-        return data.i, data.j, data.y
-    raise TypeError(f"unsupported dataset type {type(data).__name__}")
-
-
 def win_counts(data: EdgeDataset | IndividualDataset) -> np.ndarray:
     """Total wins per item; the counts sum to the number of comparisons."""
-    i, j, y = comparisons(data)
-    winners = np.where(y == 1, i, j)
-    return np.bincount(winners, minlength=data.n).astype(np.int64)
+    return np.bincount(data.winners(), minlength=data.n).astype(np.int64)
 
 
 def noise_scale(epsilon: float, regime: str, L: int = 1) -> float:

@@ -5,7 +5,8 @@ can be reproduced trial by trial. A parametric probability matrix is theta and
 the link, evaluated where it is read; only an explicit one stores the strict
 upper triangle. The skew-symmetry rho[i,j] + rho[j,i] = 1 is structural for an
 explicit matrix, whose lower triangle reads 1 - upper. A parametric dense row
-holds F(theta_i - theta_j), which is skew-symmetric up to rounding.
+holds F(theta_i - theta_j), which is skew-symmetric up to rounding. Both
+dataset types expose the same records, which every consumer reads one way.
 """
 
 from __future__ import annotations
@@ -113,6 +114,12 @@ class ProbMatrix:
             yield block
 
 
+def _check_pairs(n: int, i: np.ndarray, j: np.ndarray) -> None:
+    """Every pair must satisfy 0 <= i < j < n."""
+    if len(i) and ((i >= j).any() or i.min() < 0 or j.max() >= n):
+        raise ValueError("pairs must satisfy 0 <= i < j < n")
+
+
 @dataclass(frozen=True)
 class ComparisonGraph:
     """Compared pairs as parallel index arrays with i < j, sorted by (i, j)."""
@@ -120,14 +127,11 @@ class ComparisonGraph:
     n: int
     i: np.ndarray
     j: np.ndarray
-    p: float
 
     def __post_init__(self):
         if self.i.shape != self.j.shape:
             raise ValueError("edge index arrays must have equal length")
-        if self.n_edges and ((self.i >= self.j).any() or self.i.min() < 0
-                             or self.j.max() >= self.n):
-            raise ValueError("edges must satisfy 0 <= i < j < n")
+        _check_pairs(self.n, self.i, self.j)
         # strictly increasing keys rule out duplicates in one O(E) pass
         key = self.i.astype(np.int64, copy=False) * self.n + self.j
         if (key[1:] <= key[:-1]).any():
@@ -138,8 +142,12 @@ class ComparisonGraph:
         return len(self.i)
 
 
-class _NamedItems:
-    """Item names from the optional ``items`` field, held in index order."""
+class _Records:
+    """The records both dataset types expose: n, L and arrays i < j, y (1 iff i won)."""
+
+    def winners(self) -> np.ndarray:
+        """The winning item of each comparison."""
+        return np.where(self.y == 1, self.i, self.j)
 
     def item_names(self) -> tuple[str, ...]:
         """The ingested names, or ``item_1..item_n`` when there are none."""
@@ -149,8 +157,8 @@ class _NamedItems:
 
 
 @dataclass(frozen=True)
-class EdgeDataset(_NamedItems):
-    """One Bernoulli outcome per edge; y[e] = 1 iff the lower-index item won."""
+class EdgeDataset(_Records):
+    """One Bernoulli outcome per edge of ``graph``; its records are the edges."""
 
     L = 1  # not a field: an adjacent change touches one comparison
     graph: ComparisonGraph
@@ -161,17 +169,14 @@ class EdgeDataset(_NamedItems):
         if self.y.shape != self.graph.i.shape:
             raise ValueError("one outcome per edge required")
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
+    n = property(lambda self: self.graph.n)
+    i = property(lambda self: self.graph.i)
+    j = property(lambda self: self.graph.j)
 
 
 @dataclass(frozen=True)
-class IndividualDataset(_NamedItems):
-    """m users with L comparisons each, stored flat; user k owns rows [kL, (k+1)L).
-
-    Pairs are stored with i < j and y = 1 iff i won.
-    """
+class IndividualDataset(_Records):
+    """m users with L comparisons each, stored flat; user k owns rows [kL, (k+1)L)."""
 
     n: int
     m: int
@@ -184,9 +189,7 @@ class IndividualDataset(_NamedItems):
     def __post_init__(self):
         if not (len(self.i) == len(self.j) == len(self.y) == self.m * self.L):
             raise ValueError("record arrays must have length m*L")
-        if self.m * self.L and (np.any(self.i >= self.j) or np.any(self.i < 0)
-                                or np.any(self.j >= self.n)):
-            raise ValueError("records must satisfy 0 <= i < j < n")
+        _check_pairs(self.n, self.i, self.j)
 
     def user_slice(self, k: int) -> slice:
         return slice(k * self.L, (k + 1) * self.L)
@@ -227,7 +230,7 @@ def sample_er_graph(n: int, p: float, seed=None) -> ComparisonGraph:
     rows = np.diff(np.searchsorted(idx, starts), append=len(idx))
     # idx = row_starts[i] + j - i - 1, so j = idx - (row_starts - arange - 1)[i]
     j = np.subtract(idx, np.repeat(starts - np.arange(n) - 1, rows), out=idx)
-    return ComparisonGraph(n=n, i=np.repeat(np.arange(n, dtype=np.int64), rows), j=j, p=p)
+    return ComparisonGraph(n=n, i=np.repeat(np.arange(n, dtype=np.int64), rows), j=j)
 
 
 def rho_from_theta(theta: np.ndarray, link: LinkFunction) -> ProbMatrix:

@@ -21,8 +21,7 @@ import numpy as np
 from . import counts as counts_mod
 from . import metrics as metrics_mod
 from .data import (ComparisonGraph, EdgeDataset, IndividualDataset, generate_theta,
-                   pair_count, rho_from_theta, sample_edge_outcomes,
-                   sample_er_graph, sample_individual)
+                   rho_from_theta, sample_edge_outcomes, sample_er_graph, sample_individual)
 from .links import get_link
 from .mle import calibrate_edge, calibrate_individual, estimate, rank_from_scores
 
@@ -76,6 +75,13 @@ class ExperimentConfig:
             raise ValueError("edge regime requires p_values")
         if self.regime == "individual" and not self.m_values:
             raise ValueError("individual regime requires m_values")
+        # a grid ignores the other regime's keys, but substream keys every trial
+        # on L, so a stray L would silently reseed an edge grid
+        for key, owner, stray in (("p_values", "edge", self.p_values),
+                                  ("L", "individual", self.L != 1),
+                                  ("m_values", "individual", self.m_values)):
+            if stray and owner != self.regime:
+                raise ValueError(f"config key {key!r} belongs to the {owner} regime")
         for key in ("n_values", "epsilon_values"):
             if not getattr(self, key):
                 raise ValueError(f"config key {key!r} must hold at least one value")
@@ -349,9 +355,8 @@ def ingest(path: str, mode: str) -> EdgeDataset | IndividualDataset:
 
     if mode == "edge":
         order = np.lexsort((j, i))
-        graph = ComparisonGraph(n=n, i=i[order], j=j[order],
-                                p=len(recs) / pair_count(n))
-        return EdgeDataset(graph=graph, y=y[order], items=items)
+        return EdgeDataset(graph=ComparisonGraph(n=n, i=i[order], j=j[order]),
+                           y=y[order], items=items)
 
     tally = Counter(len(rows) for rows in users.values())
     L = max(tally, key=lambda c: (tally[c], -c))

@@ -69,6 +69,9 @@ class ObjectiveSpec:
             raise ValueError("gamma must be nonnegative")
         if self.w is not None and self.w.shape != (self.n,):
             raise ValueError("w must have length n")
+        # lambda's calibration needs |F(t) - ybar| <= 1; written so that NaN fails it
+        if self.ybar.size and not (self.ybar.min() >= 0 and self.ybar.max() <= 1):
+            raise ValueError("outcomes must be 0 or 1: a pair's ybar lies outside [0, 1]")
         # the prepended i[0] - 1 makes the first pair start a run
         step = np.diff(self.i, prepend=self.i[:1] - 1)
         if np.any(step < 0):
@@ -80,9 +83,8 @@ class ObjectiveSpec:
     @classmethod
     def from_edge(cls, data: EdgeDataset, link: LinkFunction,
                   gamma: float = 0.0, w: np.ndarray | None = None) -> "ObjectiveSpec":
-        return cls(n=data.n, i=data.graph.i, j=data.graph.j,
-                   M=np.ones(data.graph.n_edges), ybar=data.y.astype(float),
-                   link=link, gamma=gamma, w=w)
+        return cls(n=data.n, i=data.i, j=data.j, M=np.ones(len(data.y)),
+                   ybar=data.y.astype(float), link=link, gamma=gamma, w=w)
 
     @classmethod
     def from_individual(cls, data: IndividualDataset, link: LinkFunction,

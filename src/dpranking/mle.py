@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import EdgeDataset, IndividualDataset
+from .data import EdgeDataset
 # objective is unused here; the benchmark's tracer wraps mle.objective by name
 from .likelihood import ObjectiveSpec, grad, objective, smoothness  # noqa: F401
 from .links import LinkFunction
@@ -100,17 +100,13 @@ def default_solver_config(gamma: float) -> SolverConfig:
 
 def _build_spec(data, calib: PrivacyCalibration, link: LinkFunction,
                 w: np.ndarray) -> ObjectiveSpec:
-    if isinstance(data, EdgeDataset):
-        if calib.regime != "edge":
-            raise ValueError("edge dataset requires an edge calibration")
-        return ObjectiveSpec.from_edge(data, link, gamma=calib.gamma, w=w)
-    if isinstance(data, IndividualDataset):
-        if calib.regime != "individual":
-            raise ValueError("individual dataset requires an individual calibration")
-        if data.L != calib.L:
-            raise ValueError("calibration L differs from dataset L")
-        return ObjectiveSpec.from_individual(data, link, gamma=calib.gamma, w=w)
-    raise TypeError(f"unsupported dataset type {type(data).__name__}")
+    """The spec for ``data``, once the calibration's (regime, L) fits it."""
+    edge = isinstance(data, EdgeDataset)
+    if (calib.regime, calib.L) != ("edge" if edge else "individual", data.L):
+        raise ValueError(f"a {calib.regime} calibration with L={calib.L} does not fit "
+                         f"{type(data).__name__} with L={data.L}")
+    build = ObjectiveSpec.from_edge if edge else ObjectiveSpec.from_individual
+    return build(data, link, gamma=calib.gamma, w=w)
 
 
 def estimate_full(data, calib: PrivacyCalibration, link: LinkFunction,

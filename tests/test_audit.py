@@ -39,7 +39,7 @@ class TestEnumerateAdjacent:
         assert len(pairs) == 1
 
     def test_swaps_enumerated_for_sparse_graph(self):
-        g = ComparisonGraph(n=3, i=np.array([0]), j=np.array([1]), p=1.0)
+        g = ComparisonGraph(n=3, i=np.array([0]), j=np.array([1]))
         data = EdgeDataset(graph=g, y=np.array([1], dtype=np.int8))
         pairs = enumerate_adjacent(data, budget=100, seed=0)
         # 1 flip + 1 edge x 2 absent pairs x 2 outcomes = 5
@@ -87,14 +87,14 @@ class TestEnumerationOrder:
         assert _listed(pairs) == _reference_adjacent(data)
         for p in pairs:
             assert p.base is data
-            assert (p.variant.graph.n, p.variant.graph.p) == (n, data.graph.p)
+            assert p.variant.graph.n == n
             assert p.variant.graph.i.dtype == p.variant.graph.j.dtype == np.int64
             assert p.variant.y.dtype == np.int8
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_generator_draws_only_to_sample_swaps(self, extra):
         # edges (0, 1), (0, 2), (1, 3) leave three pairs absent: 18 swaps
-        g = ComparisonGraph(n=4, i=np.array([0, 0, 1]), j=np.array([1, 2, 3]), p=0.5)
+        g = ComparisonGraph(n=4, i=np.array([0, 0, 1]), j=np.array([1, 2, 3]))
         data = EdgeDataset(graph=g, y=np.array([1, 0, 1], dtype=np.int8))
         rng, twin = np.random.default_rng(7), np.random.default_rng(7)
         pairs = enumerate_adjacent(data, budget=3 + extra, seed=rng)
@@ -358,8 +358,7 @@ class TestEnumerateMatchesPerEdit:
     def test_budgets(self, n, seed, index_dtype):
         rng = np.random.default_rng(seed)
         g = sample_er_graph(n, float(rng.uniform(0.2, 1.0)), seed=rng)
-        g = ComparisonGraph(n=n, i=g.i.astype(index_dtype), j=g.j.astype(index_dtype),
-                            p=g.p)
+        g = ComparisonGraph(n=n, i=g.i.astype(index_dtype), j=g.j.astype(index_dtype))
         data = sample_edge_outcomes(g, ProbMatrix(n=n, upper=rng.random(pair_count(n))),
                                     seed=rng)
         edges = g.n_edges
@@ -372,7 +371,7 @@ class TestEnumerateMatchesPerEdit:
                 for got, ref in zip((p.variant.graph.i, p.variant.graph.j, p.variant.y),
                                     (i, j, y)):
                     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-                assert p.base is data and p.variant.graph.p == g.p
+                assert p.base is data
             assert ours.random() == twin.random()
 
     def test_sampled_swaps_need_no_swap_list(self):
@@ -437,7 +436,7 @@ def _pair_pool(seed):
                                        1, seed=rng)[0].variant
         pool.append(AdjacentPair(data, twice, "user-replacement"))
     itemless = EdgeDataset(graph=ComparisonGraph(n=0, i=np.zeros(0, dtype=np.int64),
-                                                 j=np.zeros(0, dtype=np.int64), p=1.0),
+                                                 j=np.zeros(0, dtype=np.int64)),
                            y=np.zeros(0, dtype=np.int8))
     pool.append(AdjacentPair(itemless, itemless, "edge-flip"))
     return pool
@@ -457,7 +456,7 @@ class TestSensitivityMatchesPerPair:
     @pytest.mark.parametrize("n", [0, 3])
     def test_datasets_without_records(self, n):
         none = np.zeros(0, dtype=np.int64)
-        data = EdgeDataset(graph=ComparisonGraph(n=n, i=none, j=none, p=1.0),
+        data = EdgeDataset(graph=ComparisonGraph(n=n, i=none, j=none),
                            y=np.zeros(0, dtype=np.int8))
         pairs = [AdjacentPair(data, data, "edge-flip")] * 2
         assert sensitivity_check(pairs) == SensitivityReport(0.0, 0.0, 2)
@@ -465,11 +464,11 @@ class TestSensitivityMatchesPerPair:
     def test_first_violation_is_reported(self):
         ok = enumerate_adjacent(_edge_dataset(4), budget=1, seed=0)[0]
         # l1 = 4 > 2 while each count moves by 1: edges (0, 1) and (2, 3) flipped
-        g = ComparisonGraph(n=4, i=np.array([0, 2]), j=np.array([1, 3]), p=1.0)
+        g = ComparisonGraph(n=4, i=np.array([0, 2]), j=np.array([1, 3]))
         wide = AdjacentPair(EdgeDataset(g, np.array([1, 1], dtype=np.int8)),
                             EdgeDataset(g, np.array([0, 0], dtype=np.int8)), "edge-flip")
         # item 0 loses both its wins, more than L = 1
-        g3 = ComparisonGraph(n=3, i=np.array([0, 0]), j=np.array([1, 2]), p=1.0)
+        g3 = ComparisonGraph(n=3, i=np.array([0, 0]), j=np.array([1, 2]))
         tall = AdjacentPair(EdgeDataset(g3, np.array([1, 1], dtype=np.int8)),
                             EdgeDataset(g3, np.array([0, 0], dtype=np.int8)), "edge-flip")
         for pairs, message, culprit in (

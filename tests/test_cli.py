@@ -286,3 +286,24 @@ def test_edge_estimate_reports_utility_guarantee_without_warning(tmp_path):
     assert _strict_json(proc.stdout)["diagnostics"]["utility_guarantee_applies"] is False
     sidecar = _strict_json((tmp_path / "est.json.diag.json").read_text())
     assert sidecar["utility_guarantee_applies"] is False
+
+
+def test_edge_estimate_output_is_pinned(tmp_path, capsys):
+    # 7 of the C(5, 2) = 10 pairs, so p = 0.7 and the epsilon = inf gamma is the
+    # utility value c0 sqrt(n p log n): theta and gamma pin the p the CLI derives
+    data = tmp_path / "edge.csv"
+    data.write_text("user_id,item_a,item_b,winner\nu1,a,b,a\nu2,b,c,c\nu3,c,d,c\n"
+                    "u4,a,d,a\nu5,b,e,e\nu6,a,c,a\nu7,d,e,d\n")
+    assert main(["estimate", "--data", str(data), "--mode", "edge", "--epsilon", "inf",
+                 "--seed", "0"]) == 0
+    assert capsys.readouterr().out == json.dumps({
+        "epsilon": "inf",
+        "theta": {"a": 1.7388181535069178, "b": -1.6293578044092647,
+                  "c": 0.6402909589940471, "d": -0.167719329528905,
+                  "e": -0.5820319785627952},
+        "ranking": ["a", "c", "d", "e", "b"],
+        "top_k": ["a"],
+        "diagnostics": {"iterations": 13, "final_grad_sup_norm": 3.829598527183009e-09,
+                        "floor_binding": False, "utility_guarantee_applies": True,
+                        "lambda": 0.0, "gamma": 0.23734010814692388},
+    }, indent=2) + "\n"

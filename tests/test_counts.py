@@ -12,7 +12,7 @@ from dpranking.data import (ComparisonGraph, EdgeDataset, IndividualDataset,
 def _edge_dataset(n, edges, outcomes):
     i = np.array([e[0] for e in edges], dtype=np.int64)
     j = np.array([e[1] for e in edges], dtype=np.int64)
-    graph = ComparisonGraph(n=n, i=i, j=j, p=1.0)
+    graph = ComparisonGraph(n=n, i=i, j=j)
     return EdgeDataset(graph=graph, y=np.array(outcomes, dtype=np.int8))
 
 
@@ -31,9 +31,15 @@ class TestWinCounts:
         data = sample_individual(4, 2, 3, pm, seed=0)
         assert win_counts(data).sum() == 6
 
-    def test_rejects_unknown_type(self):
-        with pytest.raises(TypeError):
-            win_counts(np.zeros(3))
+    def test_edge_and_individual_records_agree(self):
+        # the same records as an edge dataset and as m = 3 users with L = 1
+        edges, y = [(0, 1), (0, 2), (1, 3)], [1, 0, 0]
+        edge = _edge_dataset(4, edges, y)
+        users = IndividualDataset(n=4, m=3, L=1, i=edge.i.copy(), j=edge.j.copy(),
+                                  y=np.array(y, dtype=np.int8))
+        assert (edge.n, edge.L) == (users.n, users.L)
+        assert edge.winners().tolist() == users.winners().tolist() == [0, 2, 3]
+        assert win_counts(edge).tolist() == win_counts(users).tolist() == [1, 0, 1, 1]
 
 
 class TestNoiseScale:

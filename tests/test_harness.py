@@ -109,6 +109,17 @@ class TestConfig:
                 "regime": "edge", "n_values": [10], "p_values": [1.0],
                 "epsilon_values": ["1"], "trail": 3}))
 
+    @pytest.mark.parametrize("regime, key, value", [
+        ("edge", "L", 3), ("edge", "m_values", [100]), ("individual", "p_values", [1.0])])
+    def test_rejects_the_other_regimes_key(self, regime, key, value):
+        # substream keys every trial on L, so L = 3 on an edge grid used to
+        # reseed every trial while the CSV's L column stayed empty
+        grid = {"edge": {"p_values": [1.0]}, "individual": {"m_values": [20], "L": 2}}
+        raw = {"regime": regime, "n_values": [10], "epsilon_values": ["1"],
+               **grid[regime], key: value}
+        with pytest.raises(ValueError, match=f"config key '{key}' belongs to the"):
+            ExperimentConfig.from_json(json.dumps(raw))
+
     def test_from_json_rejects_removed_link_key(self):
         with pytest.raises(ValueError, match="link"):
             ExperimentConfig.from_json(

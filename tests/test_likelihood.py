@@ -171,6 +171,13 @@ def test_rejects_pairs_not_sorted_by_i():
                       M=np.ones(3), ybar=np.full(3, 0.5), link=LINK)
 
 
+@pytest.mark.parametrize("ybar", [-1.0, 1.5, np.nan])
+def test_rejects_ybar_outside_unit_interval(ybar):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        ObjectiveSpec(n=3, i=np.array([0, 1]), j=np.array([1, 2]), M=np.ones(2),
+                      ybar=np.array([0.5, ybar]), link=LINK)
+
+
 def test_one_link_pass_per_evaluation():
     calls = []
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpranking.data import (ComparisonGraph, EdgeDataset, ProbMatrix, generate_theta,
-                            rho_from_theta, sample_edge_outcomes, sample_er_graph,
-                            sample_individual)
+from dpranking.counts import win_counts
+from dpranking.data import (ComparisonGraph, EdgeDataset, IndividualDataset, ProbMatrix,
+                            generate_theta, rho_from_theta, sample_edge_outcomes,
+                            sample_er_graph, sample_individual)
 from dpranking.likelihood import ObjectiveSpec, grad, smoothness
 from dpranking.links import expit, logistic_link
 from dpranking.mle import (PrivacyCalibration, calibrate_edge,
@@ -259,7 +260,7 @@ class TestEstimate:
     def test_edgeless_graph_gives_minus_w_over_gamma(self):
         # a sparse draw can keep no pair; the objective is then the ridge plus w.theta
         data = EdgeDataset(graph=ComparisonGraph(n=3, i=np.array([], dtype=np.int64),
-                                                 j=np.array([], dtype=np.int64), p=0.01),
+                                                 j=np.array([], dtype=np.int64)),
                            y=np.array([], dtype=np.int8))
         calib = PrivacyCalibration(epsilon=1.0, lam=2.0, gamma=4.0, regime="edge")
         theta, info = estimate_full(data, calib, LINK, seed=3)
@@ -269,7 +270,7 @@ class TestEstimate:
 
     def test_itemless_dataset_gives_empty_estimate(self):
         empty = np.array([], dtype=np.int64)
-        data = EdgeDataset(graph=ComparisonGraph(n=0, i=empty, j=empty, p=0.5),
+        data = EdgeDataset(graph=ComparisonGraph(n=0, i=empty, j=empty),
                            y=np.array([], dtype=np.int8))
         calib = PrivacyCalibration(epsilon=1.0, lam=2.0, gamma=4.0, regime="edge")
         theta, info = estimate_full(data, calib, LINK, seed=0)
@@ -298,6 +299,25 @@ class TestEstimate:
         calib = calibrate_individual(1.0, 2, 5, 1, LINK)
         with pytest.raises(ValueError, match="calibration"):
             estimate(data, calib, LINK)
+
+    def test_individual_L_mismatch(self):
+        data = sample_individual(4, 6, 3, ProbMatrix(n=4, upper=np.full(6, 0.5)), seed=0)
+        calib = calibrate_individual(1.0, 4, 6, 2, LINK)
+        with pytest.raises(ValueError, match="L=2 does not fit IndividualDataset with L=3"):
+            estimate_full(data, calib, LINK, seed=0)
+
+    def test_rejects_outcomes_outside_zero_one(self):
+        # a +-1 encoding counts the same wins as 0/1, but its ybar of -1 would
+        # move the MLE and break the |F(t) - ybar| <= 1 that lambda assumes
+        i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+        plus_minus = IndividualDataset(n=3, m=3, L=1, i=i, j=j, y=np.array([1, -1, -1]))
+        zero_one = replace(plus_minus, y=np.array([1, 0, 0]))
+        assert win_counts(plus_minus).tolist() == win_counts(zero_one).tolist()
+        two = EdgeDataset(graph=ComparisonGraph(n=3, i=i, j=j), y=np.array([1, 2, 0]))
+        for data, calib in ((plus_minus, calibrate_individual(math.inf, 3, 3, 1, LINK)),
+                            (two, calibrate_edge(math.inf, 3, 1.0, LINK))):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                estimate_full(data, calib, LINK, seed=0)
 
     def test_perturbation_reproducible(self):
         data = _single_edge_dataset()
@@ -386,7 +406,7 @@ def test_solve_agrees_with_fixed_step_and_keeps_the_mean(n, form, gamma, lam, se
             graph = sample_er_graph(n, rng.uniform(0.05, 1.0), seed=rng)
         else:
             empty = np.array([], dtype=np.int64)
-            graph = ComparisonGraph(n=n, i=empty, j=empty, p=0.01)
+            graph = ComparisonGraph(n=n, i=empty, j=empty)
         data = sample_edge_outcomes(graph, pm, seed=rng)
         calib = PrivacyCalibration(epsilon=1.0, lam=lam, gamma=gamma, regime="edge")
     theta, info = estimate_full(data, calib, LINK, seed=seed)
