@@ -7,9 +7,12 @@ here on explicit adjacent pairs, all pairs in one pass of array operations
 over the (i, j, y) records, read the same way for either dataset type.
 Edge-adjacent datasets are enumerated by index: a swap is decoded from its
 position in the (edge, absent pair, outcome) order, so sampled swaps are
-never listed. For the discrete noisy-count top-k mechanism, an empirical
-epsilon lower bound is estimated from output frequencies on an adjacent
-pair. A release's top-k set is read off without sorting: an item is in it
+never listed, and the variants' graphs are checked as one batch. For the
+discrete noisy-count top-k mechanism, an empirical epsilon lower bound is
+estimated from output frequencies on an adjacent pair. The two sides are
+replayed at once, the variant on a thread from a copy of the generator
+advanced past the base's draws, so the stream is that of replaying them in
+turn. A release's top-k set is read off without sorting: an item is in it
 iff fewer than k items beat it, where j beats i when its noisy count is
 higher, or equal with j < i (ties go to the lower index, as in
 ``noisy_topk``). The perturbed MLE has a continuous output space and is
@@ -19,14 +22,16 @@ calibration invariants.
 
 from __future__ import annotations
 
+import copy
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counts import noisy_counts, win_counts
-from .data import (ComparisonGraph, EdgeDataset, IndividualDataset, pair_arrays,
-                   pair_count, row_starts, unrank)
+from .data import (ComparisonGraph, EdgeDataset, IndividualDataset, check_outcomes,
+                   pair_arrays, pair_count, row_starts, unrank)
 from .metrics import descending_order
 
 MIN_EPSILON_SAMPLES = 100_000
@@ -112,8 +117,9 @@ def enumerate_adjacent(data: EdgeDataset, budget: int, seed=None) -> list[Adjace
             np.take(field, order, out=dest[block])
             dest[block][moved] = new[block]
     kinds = ["edge-flip"] * (len(edge) - len(swaps)) + ["edge-swap"] * len(swaps)
-    return [AdjacentPair(data, EdgeDataset(graph=ComparisonGraph(n=n, i=vi, j=vj), y=vy),
-                         kind) for kind, vi, vj, vy in zip(kinds, *out)]
+    graphs = ComparisonGraph.batch(n, out[0], out[1])
+    return [AdjacentPair(data, EdgeDataset(graph=graph, y=vy), kind)
+            for kind, graph, vy in zip(kinds, graphs, out[2])]
 
 
 def replace_user(data: IndividualDataset, user: int, records) -> IndividualDataset:
@@ -188,6 +194,7 @@ def sensitivity_check(pairs: list[AdjacentPair]) -> SensitivityReport:
     for lo in range(0, len(records), step):
         hi = min(lo + step, len(records))
         i, j, y = (np.concatenate(field) for field in zip(*records[lo:hi]))
+        check_outcomes(y)
         winners = np.where(y == 1, i, j).astype(np.int64, copy=False)
         winners += np.repeat(bounds[lo:hi] - bounds[lo], [len(r[0]) for r in records[lo:hi]])
         counts[bounds[lo]:bounds[hi]] = np.bincount(winners,
@@ -241,18 +248,18 @@ class CountTopKMechanism:
         # picking every item is one fixed output, which no replay can tell apart
         if self.k >= n:
             raise ValueError(f"k={self.k} must be below n={n}")
-        noisy = noisy_counts(np.broadcast_to(counts, (samples, n)), self.epsilon,
-                             self.regime, self.L, seed=rng)
         masks = np.zeros(samples, dtype=np.int64)
         for start in range(0, samples, _MASK_BLOCK):
-            x = noisy[start:start + _MASK_BLOCK].T.copy()
+            block = masks[start:start + _MASK_BLOCK]
+            # successive draws on one generator are the stream of one (samples, n) draw
+            x = noisy_counts(np.broadcast_to(counts, (len(block), n)), self.epsilon,
+                             self.regime, self.L, seed=rng).T.copy()
             # beaten[i]: how many items beat item i, one comparison per pair
             beaten = np.zeros(x.shape, dtype=np.uint8)
             for a in range(n - 1):
                 a_wins = x[a] >= x[a + 1:]
                 beaten[a + 1:] += a_wins
                 beaten[a] += n - 1 - a - a_wins.sum(axis=0, dtype=np.uint8)
-            block = masks[start:start + _MASK_BLOCK]
             for item, top in enumerate(beaten < self.k):
                 block |= top.astype(np.int64) << item
         return masks
@@ -270,8 +277,34 @@ def estimate_epsilon(mechanism: CountTopKMechanism, pair: AdjacentPair,
     if samples < MIN_EPSILON_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_EPSILON_SAMPLES}")
     rng = np.random.default_rng(seed)
-    masks_a = mechanism.output_masks(pair.base, samples, rng)
-    masks_b = mechanism.output_masks(pair.variant, samples, rng)
+    # the variant replays on a thread (laplace releases the GIL) from a copy
+    # advanced past the base's samples * n draws: laplace takes one 64-bit
+    # output per value, and PCG64 advances by 64-bit outputs
+    twin, variant = copy.deepcopy(rng), {}
+    pcg = isinstance(twin.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
+    start = twin.bit_generator.advance(samples * pair.base.n).state if pcg else None
+
+    def replay():
+        try:
+            variant["masks"] = mechanism.output_masks(pair.variant, samples, twin)
+        except BaseException as exc:
+            variant["error"] = exc
+
+    thread = threading.Thread(target=replay if pcg else None)
+    thread.start()
+    try:
+        masks_a = mechanism.output_masks(pair.base, samples, rng)
+    finally:
+        thread.join()
+    if "error" in variant:
+        raise variant["error"]
+    # after a rejected U = 0 draw or with a buffered 32-bit value the copy
+    # started elsewhere, so the variant is replayed in sequence from rng
+    if rng.bit_generator.state == start:
+        rng.bit_generator.state = twin.bit_generator.state
+        masks_b = variant["masks"]
+    else:
+        masks_b = mechanism.output_masks(pair.variant, samples, rng)
     sets_a, counts_a = np.unique(masks_a, return_counts=True)
     sets_b, counts_b = np.unique(masks_b, return_counts=True)
 

@@ -21,8 +21,8 @@ from .links import LinkFunction
 
 # most gaps drawn per call in sample_er_graph
 _DRAW_CHUNK = 1 << 20
-# most entries per block of ProbMatrix.rows (unless one row is longer), so
-# each temporary stays within glibc's default 128 KiB mmap threshold
+# most entries per block of ProbMatrix.rows and ComparisonGraph.batch (unless
+# one row is longer), so each temporary stays under glibc's 128 KiB mmap threshold
 _ROW_BLOCK = 1 << 14
 
 
@@ -114,10 +114,27 @@ class ProbMatrix:
             yield block
 
 
+def check_outcomes(y: np.ndarray) -> None:
+    """Every outcome must be 0 or 1 (1 iff i won)."""
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("outcomes must be 0 or 1")
+
+
 def _check_pairs(n: int, i: np.ndarray, j: np.ndarray) -> None:
     """Every pair must satisfy 0 <= i < j < n."""
-    if len(i) and ((i >= j).any() or i.min() < 0 or j.max() >= n):
+    if i.size and ((i >= j).any() or i.min() < 0 or j.max() >= n):
         raise ValueError("pairs must satisfy 0 <= i < j < n")
+
+
+def _check_edges(n: int, i: np.ndarray, j: np.ndarray) -> None:
+    """Each row of (..., E) index arrays holds edges 0 <= i < j < n sorted by (i, j)."""
+    if i.shape != j.shape:
+        raise ValueError("edge index arrays must have equal length")
+    _check_pairs(n, i, j)
+    # strictly increasing keys rule out duplicates in one O(E) pass
+    key = i.astype(np.int64, copy=False) * n + j
+    if (key[..., 1:] <= key[..., :-1]).any():
+        raise ValueError("edges must be sorted by (i, j) without duplicates")
 
 
 @dataclass(frozen=True)
@@ -129,13 +146,19 @@ class ComparisonGraph:
     j: np.ndarray
 
     def __post_init__(self):
-        if self.i.shape != self.j.shape:
-            raise ValueError("edge index arrays must have equal length")
-        _check_pairs(self.n, self.i, self.j)
-        # strictly increasing keys rule out duplicates in one O(E) pass
-        key = self.i.astype(np.int64, copy=False) * self.n + self.j
-        if (key[1:] <= key[:-1]).any():
-            raise ValueError("edges must be sorted by (i, j) without duplicates")
+        _check_edges(self.n, self.i, self.j)
+
+    @classmethod
+    def batch(cls, n: int, i: np.ndarray, j: np.ndarray) -> list[ComparisonGraph]:
+        """One graph per row of (P, E) arrays, checked in blocks of rows, not one by one."""
+        rows = max(1, _ROW_BLOCK // max(i.shape[-1], 1))
+        # past the longer array, so a block that differs in length is checked too
+        for start in range(0, max(len(i), len(j), 1), rows):
+            _check_edges(n, i[start:start + rows], j[start:start + rows])
+        graphs = [object.__new__(cls) for _ in range(len(i))]
+        for graph, gi, gj in zip(graphs, i, j):
+            graph.__dict__.update(n=n, i=gi, j=gj)
+        return graphs
 
     @property
     def n_edges(self) -> int:
@@ -147,6 +170,7 @@ class _Records:
 
     def winners(self) -> np.ndarray:
         """The winning item of each comparison."""
+        check_outcomes(self.y)
         return np.where(self.y == 1, self.i, self.j)
 
     def item_names(self) -> tuple[str, ...]:

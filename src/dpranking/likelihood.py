@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EdgeDataset, IndividualDataset
+from .data import EdgeDataset, IndividualDataset, check_outcomes
 from .links import LinkFunction
 
 HESSIAN_DENSE_LIMIT = 2000
@@ -34,6 +34,7 @@ def aggregate(data: IndividualDataset
     Only observed pairs appear, so every comparison count M is positive;
     ybar is the fraction of those comparisons that item i won.
     """
+    check_outcomes(data.y)
     key = data.i.astype(np.int64) * data.n + data.j
     uniq, inv = np.unique(key, return_inverse=True)
     M = np.bincount(inv, minlength=len(uniq)).astype(float)

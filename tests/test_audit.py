@@ -1,11 +1,13 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpranking.audit import (_MASK_BLOCK, AdjacentPair, CountTopKMechanism,
+from dpranking.audit import (_MASK_BLOCK, COUNT_FLOOR, MIN_EPSILON_SAMPLES,
+                             AdjacentPair, CountTopKMechanism,
                              SensitivityReport, SensitivityViolation,
                              enumerate_adjacent, estimate_epsilon,
                              extremal_user_pair, replace_user, sensitivity_check,
@@ -263,6 +265,17 @@ class TestEstimateEpsilon:
                     for _ in range(50)]
         assert masks.tolist() == [sum(1 << int(t) for t in top) for top in releases]
 
+    def test_variant_error_is_raised_and_the_thread_joined(self):
+        # the variant's replay fails (k = 2 is not below its n = 2) while the base's runs
+        pair = self._pair()
+        small = _edge_dataset(2, seed=1)
+        mech = CountTopKMechanism(k=2, epsilon=1.0, regime="edge")
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="k=2 must be below n=2"):
+            estimate_epsilon(mech, AdjacentPair(pair.base, small, "edge-flip"),
+                             MIN_EPSILON_SAMPLES, seed=0)
+        assert threading.active_count() == threads
+
     def test_mask_encoding_limit(self):
         mech = CountTopKMechanism(k=1, epsilon=1.0, regime="edge")
         big = _edge_dataset(3)
@@ -309,14 +322,19 @@ class TestOutputMasksMatchArgsort:
 
     @pytest.mark.parametrize("epsilon", [math.inf, 1.0])
     def test_across_replay_blocks(self, epsilon):
-        # more releases than one block holds, with every count tied
+        # more releases than one block holds, with every count tied, then
+        # untied; each block draws its own noise, and together they are one
+        # (samples, n) draw that leaves the generator where it ends
         samples = 2 * _MASK_BLOCK + 3
         mech = CountTopKMechanism(k=3, epsilon=epsilon, regime="individual")
-        masks = mech.output_masks(_counted([2] * 7), samples, np.random.default_rng(5))
-        want = _argsort_masks([2] * 7, 3, epsilon, samples, np.random.default_rng(5))
-        assert np.array_equal(masks, want)
-        if math.isinf(epsilon):
-            assert set(masks.tolist()) == {0b111}
+        for counts, noiseless in (([2] * 7, 0b111), ([0, 3, 1, 3, 2], 0b11010)):
+            rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+            masks = mech.output_masks(_counted(counts), samples, rng)
+            want = _argsort_masks(counts, 3, epsilon, samples, twin)
+            assert np.array_equal(masks, want)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            if math.isinf(epsilon):
+                assert set(masks.tolist()) == {noiseless}
 
     def test_highest_bit_item(self):
         # n = 62 puts item 61 at bit 61, the last the encoding allows
@@ -324,6 +342,81 @@ class TestOutputMasksMatchArgsort:
         mech = CountTopKMechanism(k=1, epsilon=math.inf, regime="individual")
         masks = mech.output_masks(_counted(counts), 3, np.random.default_rng(0))
         assert masks.tolist() == [1 << 61] * 3
+
+
+def _sequential_epsilon(mech, pair, samples, rng):
+    """epsilon_hat with the base's and then the variant's masks replayed in turn on ``rng``."""
+    a, b = (mech.output_masks(d, samples, rng) for d in (pair.base, pair.variant))
+    (sets_a, counts_a), (sets_b, counts_b) = (np.unique(m, return_counts=True)
+                                              for m in (a, b))
+    if math.isinf(mech.epsilon):
+        return 0.0 if np.array_equal(sets_a, sets_b) else math.inf
+    freq_a, freq_b = dict(zip(sets_a.tolist(), counts_a)), dict(zip(sets_b.tolist(), counts_b))
+    ratios = [abs(np.log(freq_a[t] / freq_b[t])) for t in freq_a.keys() & freq_b.keys()
+              if min(freq_a[t], freq_b[t]) >= COUNT_FLOOR]
+    return float(max(ratios)) if ratios else math.nan
+
+
+def _next_draws(rng):
+    """Draws that read a generator's whole state, a buffered 32-bit value included."""
+    return rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist(), rng.random(3).tolist()
+
+
+class TestConcurrentReplayStream:
+    """The variant's replay on a thread leaves the stream of sequential replays."""
+
+    @staticmethod
+    def _audits(regime, epsilon):
+        if regime == "edge":
+            data = _edge_dataset(4, seed=5)
+            pairs = enumerate_adjacent(data, budget=2, seed=0)
+            return CountTopKMechanism(k=2, epsilon=epsilon, regime="edge"), pairs
+        data = sample_individual(4, 30, 5, ProbMatrix(n=4, upper=np.full(6, 0.5)), seed=4)
+        pairs = [extremal_user_pair(data, 2), extremal_user_pair(data, 1)]
+        return CountTopKMechanism(k=2, epsilon=epsilon, regime="individual", L=5), pairs
+
+    @staticmethod
+    def _check_shared_stream(mech, pairs, rng, twin):
+        for pair in pairs:
+            est = estimate_epsilon(mech, pair, MIN_EPSILON_SAMPLES, seed=rng)
+            want = _sequential_epsilon(mech, pair, MIN_EPSILON_SAMPLES, twin)
+            assert est.epsilon_hat == want or (math.isnan(want) and math.isnan(est.epsilon_hat))
+        assert _next_draws(rng) == _next_draws(twin)
+
+    @pytest.mark.parametrize("epsilon", [1.0, math.inf])
+    @pytest.mark.parametrize("regime", ["edge", "individual"])
+    def test_two_estimates_share_one_generator(self, monkeypatch, regime, epsilon):
+        mech, pairs = self._audits(regime, epsilon)
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        replays, output_masks = [], CountTopKMechanism.output_masks
+
+        def counted(self, data, samples, generator):
+            replays.append(generator is twin)
+            return output_masks(self, data, samples, generator)
+
+        monkeypatch.setattr(CountTopKMechanism, "output_masks", counted)
+        self._check_shared_stream(mech, pairs, rng, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # one replay per side: the variant's thread result was kept, not replayed
+        assert replays.count(False) == 2 * len(pairs)
+
+    @pytest.mark.parametrize("regime", ["edge", "individual"])
+    def test_buffered_32_bit_value_falls_back_to_sequence(self, regime):
+        # advance drops the buffered half of a 64-bit draw, which the next
+        # 32-bit draw would read
+        mech, pairs = self._audits(regime, 1.0)
+        rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+        for g in (rng, twin):
+            g.integers(0, 2, dtype=np.uint32)
+        self._check_shared_stream(mech, pairs, rng, twin)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
+                                               np.random.Philox])
+    def test_other_bit_generators_fall_back_to_sequence(self, bit_generator):
+        # MT19937 and SFC64 cannot advance; Philox advances by blocks of four outputs
+        mech, pairs = self._audits("edge", 1.0)
+        rng, twin = (np.random.Generator(bit_generator(13)) for _ in range(2))
+        self._check_shared_stream(mech, pairs, rng, twin)
 
 
 def _per_edit_adjacent(data, budget, rng):
@@ -477,6 +570,15 @@ class TestSensitivityMatchesPerPair:
             with pytest.raises(SensitivityViolation) as info:
                 sensitivity_check(pairs)
             assert str(info.value) == message and info.value.pair is culprit
+
+    @pytest.mark.parametrize("y", [[1, 2, 0], [1, -1, 0], [0.5, 1.0, 0.0]])
+    def test_outcomes_other_than_zero_or_one_refused(self, y):
+        # a win for i is y = 1 only: y = 2 would silently read as a loss
+        data = _edge_dataset(3)
+        bad = EdgeDataset(graph=data.graph, y=np.array(y))
+        for pair in (AdjacentPair(data, bad, "edge-flip"), AdjacentPair(bad, data, "edge-flip")):
+            with pytest.raises(ValueError, match="^outcomes must be 0 or 1$"):
+                sensitivity_check([pair])
 
     def test_datasets_must_share_n(self):
         pair = AdjacentPair(_edge_dataset(3), _edge_dataset(4), "edge-flip")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpranking import data as data_mod
-from dpranking.data import (_DRAW_CHUNK, _ROW_BLOCK, ComparisonGraph,
+from dpranking.data import (_DRAW_CHUNK, _ROW_BLOCK, ComparisonGraph, EdgeDataset,
                             IndividualDataset, ProbMatrix, unrank, generate_theta,
                             pair_arrays, pair_count, rho_from_theta, row_starts, sample_edge_outcomes, sample_er_graph,
                             sample_individual, two_block_rho)
@@ -270,6 +271,88 @@ class TestGraphSampling:
     def test_unsorted_edges_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             ComparisonGraph(n=3, i=np.array([0, 0]), j=np.array([2, 1]))
+
+
+def _graph_rows(rows, n, edges, dtype, seed=0):
+    """(rows, edges) index arrays, each row a sorted set of distinct pairs."""
+    rng = np.random.default_rng(seed)
+    keys = np.sort([rng.choice(pair_count(n), edges, replace=False)
+                    for _ in range(rows)], axis=1)
+    return tuple(a.astype(dtype) for a in unrank(n, keys))
+
+
+def _break_row(kind, i, j, row, n):
+    """Copies of i and j with one row made invalid in the named way."""
+    i, j = i.copy(), j.copy()
+    if kind == "unsorted":
+        i[row, :2], j[row, :2] = i[row, 1::-1], j[row, 1::-1]
+    elif kind == "duplicate":
+        i[row, 1], j[row, 1] = i[row, 0], j[row, 0]
+    elif kind == "i >= j":
+        j[row, 0] = i[row, 0]
+    elif kind == "j >= n":
+        j[row, -1] = n
+    elif kind == "i < 0":
+        i[row, 0] = -1
+    return i, j
+
+
+class TestGraphBatch:
+    # 7 rows of 5 edges, 2 rows per block of 10 entries: blocks [0, 2), [2, 4),
+    # [4, 6) and the partial [6, 7)
+    N, ROWS, EDGES = 6, 7, 5
+
+    @pytest.mark.parametrize("block", [1, 10, _ROW_BLOCK])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_matches_constructor(self, monkeypatch, block, dtype):
+        monkeypatch.setattr(data_mod, "_ROW_BLOCK", block)
+        i, j = _graph_rows(self.ROWS, self.N, self.EDGES, dtype)
+        graphs = ComparisonGraph.batch(self.N, i, j)
+        assert len(graphs) == self.ROWS
+        for graph, gi, gj in zip(graphs, i, j):
+            ref = ComparisonGraph(n=self.N, i=gi, j=gj)
+            assert type(graph) is ComparisonGraph and graph.n == ref.n
+            for got, want in ((graph.i, ref.i), (graph.j, ref.j)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graphs[0].n = 3
+
+    def test_empty_batch_and_edgeless_rows(self):
+        none = np.zeros((0, 4), dtype=np.int64)
+        assert ComparisonGraph.batch(3, none, none) == []
+        graphs = ComparisonGraph.batch(3, np.zeros((2, 0), dtype=np.int64),
+                                       np.zeros((2, 0), dtype=np.int64))
+        assert [g.n_edges for g in graphs] == [0, 0]
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize("kind", ["unsorted", "duplicate", "i >= j", "j >= n", "i < 0"])
+    def test_bad_row_raises_the_constructor_message(self, monkeypatch, kind, row):
+        monkeypatch.setattr(data_mod, "_ROW_BLOCK", 10)
+        i, j = _break_row(kind, *_graph_rows(self.ROWS, self.N, self.EDGES, np.int64),
+                          row, self.N)
+        with pytest.raises(ValueError) as ref:
+            ComparisonGraph(n=self.N, i=i[row], j=j[row])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            ComparisonGraph.batch(self.N, i, j)
+
+    @pytest.mark.parametrize("cut", ["short row", "missing last row", "extra last row"])
+    def test_unequal_shapes_raise_the_constructor_message(self, monkeypatch, cut):
+        monkeypatch.setattr(data_mod, "_ROW_BLOCK", 10)
+        i, j = _graph_rows(self.ROWS, self.N, self.EDGES, np.int64)
+        with pytest.raises(ValueError) as ref:
+            ComparisonGraph(n=self.N, i=i[0], j=j[0, :-1])
+        # the last two differ only past the shorter array's last block
+        i, j = {"short row": (i, j[:, :-1]), "missing last row": (i, j[:-1]),
+                "extra last row": (i[:-1], j)}[cut]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            ComparisonGraph.batch(self.N, i, j)
+
+
+@pytest.mark.parametrize("y", [[1, 2], [-1, 0], [0.5, 1.0], [np.nan, 1.0]])
+def test_winners_refuse_outcomes_other_than_zero_or_one(y):
+    graph = ComparisonGraph(n=3, i=np.array([0, 1]), j=np.array([1, 2]))
+    with pytest.raises(ValueError, match="^outcomes must be 0 or 1$"):
+        EdgeDataset(graph=graph, y=np.array(y)).winners()
 
 
 class TestRhoFromTheta:

@@ -307,17 +307,30 @@ class TestEstimate:
             estimate_full(data, calib, LINK, seed=0)
 
     def test_rejects_outcomes_outside_zero_one(self):
-        # a +-1 encoding counts the same wins as 0/1, but its ybar of -1 would
-        # move the MLE and break the |F(t) - ybar| <= 1 that lambda assumes
+        # a +-1 encoding would count as many wins as 0/1, but its ybar of -1
+        # would move the MLE and break the |F(t) - ybar| <= 1 that lambda assumes
         i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
         plus_minus = IndividualDataset(n=3, m=3, L=1, i=i, j=j, y=np.array([1, -1, -1]))
-        zero_one = replace(plus_minus, y=np.array([1, 0, 0]))
-        assert win_counts(plus_minus).tolist() == win_counts(zero_one).tolist()
+        for read in (win_counts, lambda data: estimate_full(
+                data, calibrate_individual(math.inf, 3, 3, 1, LINK), LINK, seed=0)):
+            with pytest.raises(ValueError, match="^outcomes must be 0 or 1$"):
+                read(plus_minus)
+        # an edge dataset skips the aggregation, and its ybar check refuses y = 2
         two = EdgeDataset(graph=ComparisonGraph(n=3, i=i, j=j), y=np.array([1, 2, 0]))
-        for data, calib in ((plus_minus, calibrate_individual(math.inf, 3, 3, 1, LINK)),
-                            (two, calibrate_edge(math.inf, 3, 1.0, LINK))):
-            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-                estimate_full(data, calib, LINK, seed=0)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            estimate_full(two, calibrate_edge(math.inf, 3, 1.0, LINK), LINK, seed=0)
+
+    def test_rejects_mixed_plus_minus_outcomes(self):
+        # y = (1, 1, -1) keeps ybar = 1/3 inside [0, 1], so only a record check
+        # stops the estimate from being flipped: (-0.313, 0.313) for (0.313, -0.313)
+        pm = IndividualDataset(n=2, m=3, L=1, i=np.zeros(3, dtype=np.int64),
+                               j=np.ones(3, dtype=np.int64), y=np.array([1, 1, -1]))
+        calib = calibrate_individual(math.inf, 2, 3, 1, LINK)
+        theta = estimate_full(replace(pm, y=np.array([1, 1, 0])), calib, LINK, seed=0)[0]
+        assert theta.tolist() == pytest.approx([0.313, -0.313], abs=1e-3)
+        for read in (win_counts, lambda data: estimate_full(data, calib, LINK, seed=0)):
+            with pytest.raises(ValueError, match="^outcomes must be 0 or 1$"):
+                read(pm)
 
     def test_perturbation_reproducible(self):
         data = _single_edge_dataset()
