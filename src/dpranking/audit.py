@@ -9,20 +9,18 @@ Edge-adjacent datasets are enumerated by index: a swap is decoded from its
 position in the (edge, absent pair, outcome) order, so sampled swaps are
 never listed, and the variants' graphs are checked as one batch. For the
 discrete noisy-count top-k mechanism, an empirical epsilon lower bound is
-estimated from output frequencies on an adjacent pair. The two sides are
-replayed at once, the variant on a thread from a copy of the generator
-advanced past the base's draws, so the stream is that of replaying them in
-turn. A release's top-k set is read off without sorting: an item is in it
-iff fewer than k items beat it, where j beats i when its noisy count is
-higher, or equal with j < i (ties go to the lower index, as in
-``noisy_topk``). The perturbed MLE has a continuous output space and is
-excluded from frequency-based estimation; its audit is limited to the
-calibration invariants.
+estimated from output frequencies on an adjacent pair, its two sides
+replayed at once from their own child streams of the seed. A release's
+top-k set is read off without sorting: an item is in it iff fewer than k
+items beat it, where j beats i when its noisy count is higher, or equal
+with j < i (ties go to the lower index, as in ``noisy_topk``). The
+perturbed MLE has a continuous output space and is excluded from
+frequency-based estimation; its audit is limited to the calibration
+invariants.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -272,41 +270,34 @@ def estimate_epsilon(mechanism: CountTopKMechanism, pair: AdjacentPair,
     Replays the mechanism on base and variant, then takes the max absolute
     log-ratio of output-set frequencies over sets observed at least
     ``COUNT_FLOOR`` times on both sides. Inconclusive when no set reaches the
-    floor on both sides.
+    floor on both sides. Each side replays from its own child stream of
+    ``seed``, the variant on a second thread, so the seed fixes the estimate
+    whatever the thread scheduling; a generator passed as ``seed`` advances
+    by the four draws that seed the children, not by 2 * samples * n.
     """
     if samples < MIN_EPSILON_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_EPSILON_SAMPLES}")
-    rng = np.random.default_rng(seed)
-    # the variant replays on a thread (laplace releases the GIL) from a copy
-    # advanced past the base's samples * n draws: laplace takes one 64-bit
-    # output per value, and PCG64 advances by 64-bit outputs
-    twin, variant = copy.deepcopy(rng), {}
-    pcg = isinstance(twin.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
-    start = twin.bit_generator.advance(samples * pair.base.n).state if pcg else None
+    # the variant replays on a thread: laplace releases the GIL
+    base_rng, variant_rng = map(np.random.default_rng, np.random.SeedSequence(
+        np.random.default_rng(seed).integers(2**63, size=4)).spawn(2))
+    variant = {}
 
     def replay():
         try:
-            variant["masks"] = mechanism.output_masks(pair.variant, samples, twin)
+            variant["masks"] = mechanism.output_masks(pair.variant, samples, variant_rng)
         except BaseException as exc:
             variant["error"] = exc
 
-    thread = threading.Thread(target=replay if pcg else None)
+    thread = threading.Thread(target=replay)
     thread.start()
     try:
-        masks_a = mechanism.output_masks(pair.base, samples, rng)
+        masks_a = mechanism.output_masks(pair.base, samples, base_rng)
     finally:
         thread.join()
     if "error" in variant:
         raise variant["error"]
-    # after a rejected U = 0 draw or with a buffered 32-bit value the copy
-    # started elsewhere, so the variant is replayed in sequence from rng
-    if rng.bit_generator.state == start:
-        rng.bit_generator.state = twin.bit_generator.state
-        masks_b = variant["masks"]
-    else:
-        masks_b = mechanism.output_masks(pair.variant, samples, rng)
     sets_a, counts_a = np.unique(masks_a, return_counts=True)
-    sets_b, counts_b = np.unique(masks_b, return_counts=True)
+    sets_b, counts_b = np.unique(variant["masks"], return_counts=True)
 
     if math.isinf(mechanism.epsilon):
         differs = not np.array_equal(sets_a, sets_b)

@@ -69,6 +69,17 @@ class ExperimentConfig:
                 raise ValueError(f"config key {key!r} must be a JSON integer")
             if key != "master_seed" and value < 1:
                 raise ValueError(f"config key {key!r} must be >= 1, got {value!r}")
+        for key, kind, ok, want in (
+                ("n_values", Integral, lambda v: v >= 2, "integers >= 2"),
+                ("m_values", Integral, lambda v: v >= 1, "integers >= 1"),
+                ("p_values", Real, lambda v: 0 < v <= 1, "numbers in (0, 1]"),
+                ("epsilon_values", Real, lambda v: v > 0, "numbers > 0 or 'inf'")):
+            values = getattr(self, key)
+            bad = [v for v in values if isinstance(v, bool) or not isinstance(v, kind)
+                   or not ok(v)] if isinstance(values, (tuple, list)) else [values]
+            if bad:
+                raise ValueError(f"config key {key!r} must be a JSON array of {want}, "
+                                 f"got {bad[0]!r}")
         if self.regime not in ("edge", "individual"):
             raise ValueError("regime must be 'edge' or 'individual'")
         if self.regime == "edge" and not self.p_values:
@@ -85,15 +96,6 @@ class ExperimentConfig:
         for key in ("n_values", "epsilon_values"):
             if not getattr(self, key):
                 raise ValueError(f"config key {key!r} must hold at least one value")
-        for key, kind, ok, want in (
-                ("n_values", Integral, lambda v: v >= 2, "integers >= 2"),
-                ("m_values", Integral, lambda v: v >= 1, "integers >= 1"),
-                ("p_values", Real, lambda v: 0 < v <= 1, "numbers in (0, 1]"),
-                ("epsilon_values", Real, lambda v: v > 0, "numbers > 0 or 'inf'")):
-            bad = [v for v in getattr(self, key)
-                   if isinstance(v, bool) or not isinstance(v, kind) or not ok(v)]
-            if bad:
-                raise ValueError(f"config key {key!r} must hold {want}, got {bad[0]!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -104,12 +106,6 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        for key, kind in (("n_values", int), ("m_values", int), ("p_values", (int, float)),
-                          ("epsilon_values", (int, float, str))):
-            if key in raw and not (isinstance(raw[key], list) and all(
-                    isinstance(v, kind) and not isinstance(v, bool) for v in raw[key])):
-                raise ValueError(f"config key {key!r} must be a JSON array of "
-                                 f"{'integers' if kind is int else 'numbers'}")
         # the preset names the CSV's experiment column; a null output_path is stdout
         for key, kind in (("preset", str), ("output_path", (str, type(None)))):
             if not isinstance(raw.get(key, ""), kind):
@@ -121,7 +117,8 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing config key(s): {', '.join(missing)}")
         try:
-            raw["epsilon_values"] = [parse_eps(str(e)) for e in raw["epsilon_values"]]
+            if isinstance(raw["epsilon_values"], list):
+                raw["epsilon_values"] = [parse_eps(str(e)) for e in raw["epsilon_values"]]
         except ValueError:
             raise ValueError("config key 'epsilon_values' must hold numbers > 0 "
                              "or 'inf'") from None

@@ -84,6 +84,7 @@ class ObjectiveSpec:
     @classmethod
     def from_edge(cls, data: EdgeDataset, link: LinkFunction,
                   gamma: float = 0.0, w: np.ndarray | None = None) -> "ObjectiveSpec":
+        check_outcomes(data.y)
         return cls(n=data.n, i=data.i, j=data.j, M=np.ones(len(data.y)),
                    ybar=data.y.astype(float), link=link, gamma=gamma, w=w)
 

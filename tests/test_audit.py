@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpranking.audit import (_MASK_BLOCK, COUNT_FLOOR, MIN_EPSILON_SAMPLES,
+from dpranking.audit import (_MASK_BLOCK, MIN_EPSILON_SAMPLES,
                              AdjacentPair, CountTopKMechanism,
                              SensitivityReport, SensitivityViolation,
                              enumerate_adjacent, estimate_epsilon,
@@ -344,26 +344,8 @@ class TestOutputMasksMatchArgsort:
         assert masks.tolist() == [1 << 61] * 3
 
 
-def _sequential_epsilon(mech, pair, samples, rng):
-    """epsilon_hat with the base's and then the variant's masks replayed in turn on ``rng``."""
-    a, b = (mech.output_masks(d, samples, rng) for d in (pair.base, pair.variant))
-    (sets_a, counts_a), (sets_b, counts_b) = (np.unique(m, return_counts=True)
-                                              for m in (a, b))
-    if math.isinf(mech.epsilon):
-        return 0.0 if np.array_equal(sets_a, sets_b) else math.inf
-    freq_a, freq_b = dict(zip(sets_a.tolist(), counts_a)), dict(zip(sets_b.tolist(), counts_b))
-    ratios = [abs(np.log(freq_a[t] / freq_b[t])) for t in freq_a.keys() & freq_b.keys()
-              if min(freq_a[t], freq_b[t]) >= COUNT_FLOOR]
-    return float(max(ratios)) if ratios else math.nan
-
-
-def _next_draws(rng):
-    """Draws that read a generator's whole state, a buffered 32-bit value included."""
-    return rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist(), rng.random(3).tolist()
-
-
-class TestConcurrentReplayStream:
-    """The variant's replay on a thread leaves the stream of sequential replays."""
+class TestReplayStreams:
+    """Each side replays once, from its own child stream of the seed."""
 
     @staticmethod
     def _audits(regime, epsilon):
@@ -375,48 +357,39 @@ class TestConcurrentReplayStream:
         pairs = [extremal_user_pair(data, 2), extremal_user_pair(data, 1)]
         return CountTopKMechanism(k=2, epsilon=epsilon, regime="individual", L=5), pairs
 
-    @staticmethod
-    def _check_shared_stream(mech, pairs, rng, twin):
-        for pair in pairs:
-            est = estimate_epsilon(mech, pair, MIN_EPSILON_SAMPLES, seed=rng)
-            want = _sequential_epsilon(mech, pair, MIN_EPSILON_SAMPLES, twin)
-            assert est.epsilon_hat == want or (math.isnan(want) and math.isnan(est.epsilon_hat))
-        assert _next_draws(rng) == _next_draws(twin)
-
     @pytest.mark.parametrize("epsilon", [1.0, math.inf])
     @pytest.mark.parametrize("regime", ["edge", "individual"])
-    def test_two_estimates_share_one_generator(self, monkeypatch, regime, epsilon):
+    def test_same_seed_same_estimate(self, regime, epsilon):
         mech, pairs = self._audits(regime, epsilon)
-        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        rng, twin, seeded = (np.random.default_rng(11) for _ in range(3))
+        for pair in pairs:
+            assert (estimate_epsilon(mech, pair, MIN_EPSILON_SAMPLES, seed=rng)
+                    == estimate_epsilon(mech, pair, MIN_EPSILON_SAMPLES, seed=twin))
+            # the caller's generator only seeds the two children
+            seeded.integers(2**63, size=4)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.bit_generator.state == seeded.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                               np.random.SFC64, np.random.Philox])
+    def test_each_side_replays_once_on_its_own_generator(self, monkeypatch, bit_generator):
+        mech, (pair, _) = self._audits("edge", 1.0)
+        rng = np.random.Generator(bit_generator(13))
         replays, output_masks = [], CountTopKMechanism.output_masks
 
-        def counted(self, data, samples, generator):
-            replays.append(generator is twin)
+        def recorded(self, data, samples, generator):
+            replays.append((data, generator, threading.current_thread()))
             return output_masks(self, data, samples, generator)
 
-        monkeypatch.setattr(CountTopKMechanism, "output_masks", counted)
-        self._check_shared_stream(mech, pairs, rng, twin)
-        assert rng.bit_generator.state == twin.bit_generator.state
-        # one replay per side: the variant's thread result was kept, not replayed
-        assert replays.count(False) == 2 * len(pairs)
-
-    @pytest.mark.parametrize("regime", ["edge", "individual"])
-    def test_buffered_32_bit_value_falls_back_to_sequence(self, regime):
-        # advance drops the buffered half of a 64-bit draw, which the next
-        # 32-bit draw would read
-        mech, pairs = self._audits(regime, 1.0)
-        rng, twin = np.random.default_rng(12), np.random.default_rng(12)
-        for g in (rng, twin):
-            g.integers(0, 2, dtype=np.uint32)
-        self._check_shared_stream(mech, pairs, rng, twin)
-
-    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
-                                               np.random.Philox])
-    def test_other_bit_generators_fall_back_to_sequence(self, bit_generator):
-        # MT19937 and SFC64 cannot advance; Philox advances by blocks of four outputs
-        mech, pairs = self._audits("edge", 1.0)
-        rng, twin = (np.random.Generator(bit_generator(13)) for _ in range(2))
-        self._check_shared_stream(mech, pairs, rng, twin)
+        monkeypatch.setattr(CountTopKMechanism, "output_masks", recorded)
+        estimate_epsilon(mech, pair, MIN_EPSILON_SAMPLES, seed=rng)
+        sides = {id(data): (generator, thread) for data, generator, thread in replays}
+        assert len(replays) == 2 and sides.keys() == {id(pair.base), id(pair.variant)}
+        (base_rng, base_thread), (variant_rng, variant_thread) = (
+            sides[id(pair.base)], sides[id(pair.variant)])
+        assert base_rng is not variant_rng and rng not in (base_rng, variant_rng)
+        # the variant replays on the worker thread, so an audit uses two cores
+        assert base_thread is threading.current_thread() is not variant_thread
 
 
 def _per_edit_adjacent(data, budget, rng):

@@ -315,10 +315,12 @@ class TestEstimate:
                 data, calibrate_individual(math.inf, 3, 3, 1, LINK), LINK, seed=0)):
             with pytest.raises(ValueError, match="^outcomes must be 0 or 1$"):
                 read(plus_minus)
-        # an edge dataset skips the aggregation, and its ybar check refuses y = 2
-        two = EdgeDataset(graph=ComparisonGraph(n=3, i=i, j=j), y=np.array([1, 2, 0]))
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            estimate_full(two, calibrate_edge(math.inf, 3, 1.0, LINK), LINK, seed=0)
+        # an edge dataset skips the aggregation but not the record check: a
+        # fractional y = 0.5 keeps ybar inside [0, 1], and y = 2 does not
+        for y in ([1, 0.5, 0], [1, 2, 0]):
+            edge = EdgeDataset(graph=ComparisonGraph(n=3, i=i, j=j), y=np.array(y))
+            with pytest.raises(ValueError, match="^outcomes must be 0 or 1$"):
+                estimate_full(edge, calibrate_edge(math.inf, 3, 1.0, LINK), LINK, seed=0)
 
     def test_rejects_mixed_plus_minus_outcomes(self):
         # y = (1, 1, -1) keeps ybar = 1/3 inside [0, 1], so only a record check
