@@ -29,17 +29,35 @@ HESSIAN_DENSE_LIMIT = 2000
 
 def aggregate(data: IndividualDataset
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse raw records to per-pair arrays (i, j, M, ybar).
+    """Collapse raw records to per-pair arrays (i, j, M, ybar), sorted by (i, j).
 
     Only observed pairs appear, so every comparison count M is positive;
-    ybar is the fraction of those comparisons that item i won.
+    ybar is the fraction of those comparisons that item i won. The records
+    are sorted once by the key (i n + j) 2 + y, so each pair is one run of
+    keys, its losses before its wins.
     """
     check_outcomes(data.y)
-    key = data.i.astype(np.int64) * data.n + data.j
-    uniq, inv = np.unique(key, return_inverse=True)
-    M = np.bincount(inv, minlength=len(uniq)).astype(float)
-    wins = np.bincount(inv, weights=data.y.astype(float), minlength=len(uniq))
-    i, j = np.divmod(uniq, data.n)
+    # the narrower key sorts about twice as fast
+    dtype = np.int32 if 2 * data.n * data.n <= np.iinfo(np.int32).max else np.int64
+    key = data.i.astype(dtype)
+    key *= data.n
+    key += data.j.astype(dtype)
+    key *= 2
+    np.add(key, data.y, out=key, casting="unsafe")  # y is 0 or 1 in any dtype
+    key.sort()
+    # the last record of each run of equal keys, then of each run of equal pairs
+    last = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    run_key, run_end = key[last], np.flatnonzero(last) + 1
+    pair = run_key >> 1
+    last = np.ones(len(pair), dtype=bool)
+    np.not_equal(pair[1:], pair[:-1], out=last[:-1])
+    # records per run, and per pair, from the record counts at their ends
+    count = run_end - np.concatenate(([0], run_end[:-1]))
+    M = (run_end[last] - np.concatenate(([0], run_end[last][:-1]))).astype(float)
+    # a pair's losses come before its wins, so its last run holds the wins if any
+    wins = count[last] * (run_key[last] & 1).astype(float)
+    i, j = np.divmod(pair[last].astype(np.int64), data.n)
     return i, j, M, wins / M
 
 

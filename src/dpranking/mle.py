@@ -23,8 +23,8 @@ from .solver import SolveInfo, SolverConfig, minimize
 
 __all__ = [
     "DEFAULT_C0", "PrivacyCalibration", "calibrate_edge",
-    "calibrate_individual", "estimate", "estimate_full", "rank_from_scores",
-    "default_solver_config",
+    "calibrate_individual", "estimate", "estimate_batch", "estimate_full",
+    "objective_spec", "rank_from_scores", "default_solver_config",
 ]
 
 # Constant in the utility ridge value gamma = c0 * sqrt(effective-degree * log n).
@@ -98,15 +98,58 @@ def default_solver_config(gamma: float) -> SolverConfig:
     return SolverConfig(tol=1e-8 * max(1.0, gamma))
 
 
-def _build_spec(data, calib: PrivacyCalibration, link: LinkFunction,
-                w: np.ndarray) -> ObjectiveSpec:
-    """The spec for ``data``, once the calibration's (regime, L) fits it."""
+def objective_spec(data, calib: PrivacyCalibration, link: LinkFunction) -> ObjectiveSpec:
+    """The unperturbed objective of ``data`` at calib.gamma, once (regime, L) fits it."""
     edge = isinstance(data, EdgeDataset)
     if (calib.regime, calib.L) != ("edge" if edge else "individual", data.L):
         raise ValueError(f"a {calib.regime} calibration with L={calib.L} does not fit "
                          f"{type(data).__name__} with L={data.L}")
     build = ObjectiveSpec.from_edge if edge else ObjectiveSpec.from_individual
-    return build(data, link, gamma=calib.gamma, w=w)
+    return build(data, link, gamma=calib.gamma)
+
+
+def _stacked(specs: list[ObjectiveSpec]) -> ObjectiveSpec:
+    """One spec over S blocks of n items: block t's pairs offset by t n, in order,
+    so the pairs stay sorted by i and each block's gradient is its own."""
+    n = specs[0].n
+    return ObjectiveSpec(
+        n=len(specs) * n, link=specs[0].link, gamma=specs[0].gamma,
+        i=np.concatenate([spec.i + t * n for t, spec in enumerate(specs)]),
+        j=np.concatenate([spec.j + t * n for t, spec in enumerate(specs)]),
+        M=np.concatenate([spec.M for spec in specs]),
+        ybar=np.concatenate([spec.ybar for spec in specs]))
+
+
+def estimate_batch(specs: list[ObjectiveSpec], calib: PrivacyCalibration,
+                   seeds) -> tuple[np.ndarray, SolveInfo]:
+    """The perturbed MLE of each spec, solved as one (S, n) iteration.
+
+    Row t draws its w from ``seeds[t]`` (the rows in order) and starts from
+    its own minimizer's mean -mean(w)/gamma with its own fallback step
+    1/smoothness; every spec must have the same n and carry calib.gamma, as
+    ``objective_spec`` builds them. Row t is bit for bit estimate_full's
+    estimate for specs[t] and seeds[t]. Returns the (S, n) estimates with
+    the batch's diagnostics (see solver.minimize); raises ConvergenceError,
+    naming the row, at the iteration cap.
+    """
+    n = specs[0].n
+    if any(spec.n != n or spec.gamma != calib.gamma for spec in specs):
+        raise ValueError("every spec of a batch needs the same n and the calibration's gamma")
+    ws = [np.random.default_rng(seed).laplace(scale=calib.lam, size=n) for seed in seeds]
+    # 0.0 - starts at +0.0, not -0.0, when w is all +0.0; max(n, 1) spares an
+    # itemless dataset the empty mean's 0/0
+    x0 = np.array([np.full(n, (0.0 - w.sum() / max(n, 1)) / calib.gamma) for w in ws])
+    w = np.concatenate(ws)
+    spec = specs[0] if len(specs) == 1 else _stacked(specs)
+
+    def batch_grad(theta: np.ndarray) -> np.ndarray:
+        # grad adds a spec's w last, so adding each row's w here is the same sum
+        g = grad(theta.reshape(-1), spec)
+        g += w
+        return g.reshape(theta.shape)
+
+    steps = np.array([1.0 / smoothness(block) for block in specs])
+    return minimize(batch_grad, x0, steps, calib.gamma, default_solver_config(calib.gamma))
 
 
 def estimate_full(data, calib: PrivacyCalibration, link: LinkFunction,
@@ -119,15 +162,10 @@ def estimate_full(data, calib: PrivacyCalibration, link: LinkFunction,
     zero at lambda = 0. Its fallback step 1/smoothness(spec) certifies the
     Barzilai-Borwein steps with mu = gamma (see solver.minimize). Returns the
     estimate with solver diagnostics; raises ConvergenceError at the
-    iteration cap.
+    iteration cap. This is the one-row case of estimate_batch.
     """
-    w = np.random.default_rng(seed).laplace(scale=calib.lam, size=data.n)
-    spec = _build_spec(data, calib, link, w)
-    # 0.0 - starts at +0.0, not -0.0, when w is all +0.0; max(n, 1) spares an
-    # itemless dataset the empty mean's 0/0
-    x0 = np.full(data.n, (0.0 - w.sum() / max(data.n, 1)) / spec.gamma)
-    return minimize(lambda t: grad(t, spec), x0, 1.0 / smoothness(spec), spec.gamma,
-                    default_solver_config(calib.gamma))
+    theta, info = estimate_batch([objective_spec(data, calib, link)], calib, [seed])
+    return theta[0], info
 
 
 def estimate(data, calib: PrivacyCalibration, link: LinkFunction,

@@ -233,12 +233,12 @@ def test_ingest_rank_subcommand(cems_path, tmp_path):
 
 
 def test_import_leaves_process_pool_unloaded():
-    # multiprocessing is only needed by simulate --workers > 1; importing it
-    # at start-up would cost every command its import time
+    # multiprocessing is only needed by simulate --workers > 1, and scipy by
+    # nothing; importing either at start-up would cost every command its import time
     src = str(pathlib.Path(dpranking.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     probe = ("import dpranking.cli, sys; "
-             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'scipy') "
              "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from dpranking.data import generate_theta, rho_from_theta
 from dpranking.harness import (AdjacencyModelError, ExperimentConfig,
-                               ParseError, _trial_records, eps_token, ingest,
+                               ParseError, _batch_records, eps_token, ingest,
                                max_mean_rank_diff, parse_eps, preset_config,
                                real_data_eval, run_experiment, substream,
                                TrialRecord, write_records_csv)
@@ -41,11 +41,29 @@ def test_sparse_edge_trial_holds_no_triangle():
                            p_values=(p,), epsilon_values=(1.0,), trials=1)
     tracemalloc.start()
     try:
-        _trial_records(cfg, n, p, None, 1.0, 0)
+        _batch_records(cfg, n, p, None, 1.0, range(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def _batch_peak(cfg, n, m, trials):
+    tracemalloc.start()
+    try:
+        _batch_records(cfg, n, None, m, 1.0, range(trials))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cell_holds_no_raw_records_across_trials():
+    # a trial keeps its aggregated pairs (at most 120 at n = 16), not its
+    # m L = 10,000 records, while the rest of its cell is drawn
+    cfg = preset_config("exp6")
+    _batch_peak(cfg, 16, 2000, 1)  # a first call also allocates what later calls reuse
+    one = _batch_peak(cfg, 16, 2000, 1)
+    assert _batch_peak(cfg, 16, 2000, 12) < 1.5 * one
 
 
 class TestEpsTokens:

@@ -54,6 +54,55 @@ class TestAggregate:
         assert len(M) == 1
 
 
+def _aggregate_by_unique(data):
+    """The reference aggregation: np.unique over pair keys, then bincounts."""
+    key = data.i.astype(np.int64) * data.n + data.j
+    uniq, inv = np.unique(key, return_inverse=True)
+    M = np.bincount(inv, minlength=len(uniq)).astype(float)
+    wins = np.bincount(inv, weights=data.y.astype(float), minlength=len(uniq))
+    i, j = np.divmod(uniq, data.n)
+    return i, j, M, wins / M
+
+
+@st.composite
+def _records(draw):
+    """Records over few distinct pairs, so pairs repeat with both outcomes."""
+    # 2 n^2 passes the int32 range from n = 32768 on
+    n = draw(st.sampled_from([2, 3, 7, 40, 3000, 40000]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    count = draw(st.integers(1, 400))
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n - 1, size=draw(st.integers(1, 12)))
+    j = i + 1 + rng.integers(0, n - 1 - i)
+    pick = rng.integers(0, len(i), size=count)
+    y = rng.integers(0, 2, size=count).astype(draw(st.sampled_from([np.int8, np.int64])))
+    return IndividualDataset(n=n, m=count, L=1, i=i[pick], j=j[pick], y=y)
+
+
+class TestAggregateMatchesUnique:
+    @settings(max_examples=80, deadline=None)
+    @given(data=_records())
+    def test_bit_identical(self, data):
+        for ours, reference in zip(aggregate(data), _aggregate_by_unique(data)):
+            assert ours.dtype == reference.dtype
+            assert ours.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n, pair, y", [(2, (0, 1), 1), (2, (0, 1), 0),
+                                            (3000, (2998, 2999), 1), (3000, (0, 2999), 0)])
+    def test_single_record(self, n, pair, y):
+        data = IndividualDataset(n=n, m=1, L=1, i=np.array([pair[0]]),
+                                 j=np.array([pair[1]]), y=np.array([y], dtype=np.int8))
+        i, j, M, ybar = aggregate(data)
+        assert (i.tolist(), j.tolist(), M.tolist(), ybar.tolist()) == (
+            [pair[0]], [pair[1]], [1.0], [float(y)])
+
+    def test_outcome_two_is_rejected(self):
+        data = IndividualDataset(n=3, m=2, L=1, i=np.array([0, 1]), j=np.array([1, 2]),
+                                 y=np.array([1, 2], dtype=np.int8))
+        with pytest.raises(ValueError, match="^outcomes must be 0 or 1$"):
+            aggregate(data)
+
+
 class TestNll:
     def test_single_edge_at_zero(self):
         data = sample_edge_outcomes(sample_er_graph(2, 1.0, seed=0),

@@ -14,7 +14,7 @@ from dpranking.likelihood import ObjectiveSpec, grad, smoothness
 from dpranking.links import expit, logistic_link
 from dpranking.mle import (PrivacyCalibration, calibrate_edge,
                            calibrate_individual, default_solver_config,
-                           estimate, estimate_full, rank_from_scores)
+                           estimate, estimate_batch, estimate_full, rank_from_scores)
 from dpranking import solver
 from dpranking.solver import ConvergenceError, SolverConfig, minimize
 
@@ -195,7 +195,7 @@ class TestEstimate:
                              ybar=np.array([0.5, 0.5, 0.5]), link=LINK,
                              gamma=1.0, w=np.zeros(3))
         cfg = default_solver_config(1.0)
-        theta, info = minimize(lambda t: grad(t, spec), np.zeros(3),
+        theta, info = minimize(lambda t: grad(t[0], spec)[None], np.zeros((1, 3)),
                                1.0 / smoothness(spec), spec.gamma, cfg)
         assert np.max(np.abs(theta)) <= cfg.tol
 
@@ -348,19 +348,34 @@ class TestSolver:
         A = np.diag([1.0, 10.0, 100.0])
         b = np.array([1.0, -2.0, 3.0])
         cfg = SolverConfig(tol=1e-10)
-        x, info = minimize(lambda x: A @ x - b, np.zeros(3), 1.0 / 100, 1.0, cfg)
+        x, info = minimize(lambda x: x @ A - b, np.zeros((1, 3)), 1.0 / 100, 1.0, cfg)
         assert info.converged
-        assert np.allclose(x, np.linalg.solve(A, b), atol=1e-8)
+        assert np.allclose(x[0], np.linalg.solve(A, b), atol=1e-8)
 
     def test_iteration_cap_raises(self, monkeypatch):
         A = np.diag([1.0, 100.0])
         b = np.ones(2)
         monkeypatch.setattr(solver, "MAX_ITERS", 1)
         with pytest.raises(ConvergenceError) as exc:
-            minimize(lambda x: A @ x - b, np.zeros(2), 1.0 / 100, 1.0,
+            minimize(lambda x: x @ A - b, np.zeros((1, 2)), 1.0 / 100, 1.0,
                      SolverConfig(tol=1e-12))
-        assert exc.value.theta.shape == (2,)
+        assert exc.value.theta.shape == (1, 2) and exc.value.row == 0
         assert exc.value.info.grad_sup_norm > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([0, 1, 2, 7, 64, 129, 1000, 5000]), rows=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_dots_are_the_1d_dots(self, n, rows, seed):
+        # a batch row steps as its 1-D solve only if its dot products and
+        # 2-norm carry the same bits as the 1-D s @ d and np.linalg.norm
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, rows, n)) * 10.0 ** rng.integers(-8, 8, size=(2, rows, 1))
+        # the stacked (1, n) @ (n, 1) products that minimize takes its dots from
+        dots = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+        norms = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+        for r in range(rows):
+            assert dots[r] == a[r] @ b[r]
+            assert norms[r] == np.linalg.norm(a[r])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -380,7 +395,7 @@ class TestSolver:
             return g
 
         step = 1.0 / (c / 4 + mu)
-        x, info = minimize(counted_grad, np.zeros(4), step, mu, SolverConfig(tol=1e-10))
+        x, info = minimize(counted_grad, np.zeros((1, 4)), step, mu, SolverConfig(tol=1e-10))
         # after a discarded trial the solve takes the plain step from the point
         # before it, so the next point is that plain step and not the trial
         discarded = sum(
@@ -391,6 +406,76 @@ class TestSolver:
         assert info.converged and info.grad_sup_norm <= 1e-10
         assert len(grads) == info.iterations + 1
         assert np.max(np.abs(counted_grad(x))) <= 1e-10
+
+
+def _scalar_minimize(grad, x0, step, mu, tol):
+    """The solver as a loop over Python scalars, one problem at a time: the
+    reference that every row of a batch must match bit for bit."""
+    x = g = None
+    trial, length = np.array(x0, dtype=float), step
+    kept = []
+    for it in range(solver.MAX_ITERS + 1):
+        g_trial = grad(trial)
+        gnorm = float(np.max(np.abs(g_trial), initial=0.0))
+        if gnorm <= tol:
+            return trial, it
+        norm = float(np.linalg.norm(g_trial))
+        if length > step and norm > (1.0 - mu * step) * max(kept):
+            length = step
+        else:
+            if g is not None:
+                s, d = trial - x, g_trial - g
+                sd = float(s @ d)
+                length = max(step, float(s @ s) / sd) if sd > 0 else step
+            x, g = trial, g_trial
+            kept.append(norm)
+            del kept[:-solver.MEMORY]
+        trial = x - length * g
+    raise AssertionError("no convergence")
+
+
+@pytest.mark.parametrize("cs", [(5.0, 3.0, 8.0, 5.0), (12.0, 20.0, 8.0, 3.0)])
+def test_batch_rows_with_discarded_trials_match_the_scalar_loop(cs):
+    # the steep softplus of test_discarded_trial_steps_still_converge, one
+    # steepness and shift per row: rows 0-2 discard trials at their own
+    # iterations, row 3 none
+    c, mu = np.array(cs), 0.1
+    b = np.array([[1.0, -2.0, 0.5, 3.0], [1.0, -2.0, 0.5, 3.0],
+                  [2.0, 2.0, -3.0, 0.5], [0.0, 1.0, -1.0, 2.0]])
+    step = 1.0 / (c / 4 + mu)
+    x, info = minimize(lambda x: expit(c[:, None] * (x - b)) + mu * x, np.zeros((4, 4)),
+                       step, mu, SolverConfig(tol=1e-10))
+    for r in range(4):
+        points = []
+
+        def row_grad(x):
+            points.append(x.copy())
+            return expit(c[r] * (x - b[r])) + mu * x
+
+        single, its = _scalar_minimize(row_grad, np.zeros(4), step[r], mu, 1e-10)
+        assert single.tobytes() == x[r].tobytes()
+        assert its == info.row_iterations[r]
+        # after a discarded trial comes the plain step from the point before it
+        plain = [before - step[r] * (expit(c[r] * (before - b[r])) + mu * before)
+                 for before in points]
+        discarded = sum(np.array_equal(after, p) for p, after in zip(plain, points[2:]))
+        assert (discarded > 0) == (r < 3)
+
+
+def test_batch_windows_after_discards_match_the_scalar_loop():
+    # softplus rows whose later steps depend on which kept norms a discard
+    # leaves in the window: a window that loses its oldest norm, or keeps it
+    # too long, changes their iterates
+    c, mu = np.array([20.0, 12.0, 8.0]), 0.3
+    b = np.array([[1.4, -1.3, -0.0, 0.9, 0.9, 1.8], [1.2, 0.6, -0.7, 2.0, -1.2, 0.6],
+                  [-3.2, 1.1, 1.9, 0.8, 2.4, -2.0]])
+    step = 1.0 / (c / 4 + mu)
+    x, info = minimize(lambda x: expit(c[:, None] * (x - b)) + mu * x, np.zeros((3, 6)),
+                       step, mu, SolverConfig(tol=1e-10))
+    for r in range(3):
+        single, its = _scalar_minimize(lambda x: expit(c[r] * (x - b[r])) + mu * x,
+                                       np.zeros(6), step[r], mu, 1e-10)
+        assert single.tobytes() == x[r].tobytes() and its == info.row_iterations[r]
 
 
 def _fixed_step_solve(spec, tol):
@@ -435,6 +520,99 @@ def test_solve_agrees_with_fixed_step_and_keeps_the_mean(n, form, gamma, lam, se
     assert np.max(np.abs(theta - reference)) <= 2.0 * math.sqrt(n) * tol / gamma
     # the gradient's mean is gamma mean(theta) + mean(w), at most tol at the solution
     assert abs(gamma * theta.mean() + w.mean()) <= tol
+
+
+def _row_spec(rng, n, form, gamma):
+    """One row of a batch: a random edge or individual objective, an edgeless
+    one, or a balanced one whose gradient vanishes at theta = 0."""
+    if form == "edgeless":
+        empty = np.array([], dtype=np.int64)
+        return ObjectiveSpec(n=n, i=empty, j=empty, M=np.array([]), ybar=np.array([]),
+                             link=LINK, gamma=gamma)
+    if form == "balanced":
+        i, j = np.triu_indices(n, k=1)
+        return ObjectiveSpec(n=n, i=i, j=j, M=np.full(len(i), 2.0),
+                             ybar=np.full(len(i), 0.5), link=LINK, gamma=gamma)
+    pm = ProbMatrix(n=n, upper=rng.random(n * (n - 1) // 2))
+    if form == "individual":
+        data = sample_individual(n, int(rng.integers(1, 60)), int(rng.integers(1, 4)), pm,
+                                 seed=rng)
+        return ObjectiveSpec.from_individual(data, LINK, gamma=gamma)
+    graph = sample_er_graph(n, rng.uniform(0.05, 1.0), seed=rng)
+    return ObjectiveSpec.from_edge(sample_edge_outcomes(graph, pm, seed=rng), LINK, gamma=gamma)
+
+
+def _single_solve(spec, lam, seed):
+    """The one-row solve, with w inside the spec, as a one-row minimize and as
+    the scalar reference loop; both must agree."""
+    w = np.random.default_rng(seed).laplace(scale=lam, size=spec.n)
+    one = replace(spec, w=w)
+    x0 = np.full(spec.n, (0.0 - w.sum() / spec.n) / spec.gamma)
+    step, tol = 1.0 / smoothness(one), default_solver_config(spec.gamma).tol
+    theta, info = minimize(lambda t: grad(t[0], one)[None], x0[None], step, spec.gamma,
+                           default_solver_config(spec.gamma))
+    reference, its = _scalar_minimize(lambda t: grad(t, one), x0, step, spec.gamma, tol)
+    assert reference.tobytes() == theta[0].tobytes() and its == info.iterations
+    return theta[0], info
+
+
+def _assert_rows_match_single_solves(specs, lam, seeds):
+    calib = PrivacyCalibration(epsilon=1.0, lam=lam, gamma=specs[0].gamma, regime="edge")
+    thetas, info = estimate_batch(specs, calib, seeds)
+    assert thetas.shape == (len(specs), specs[0].n) and info.converged
+    assert len(info.row_iterations) == len(specs)
+    assert info.iterations == max(info.row_iterations)
+    for spec, seed, theta, its in zip(specs, seeds, thetas, info.row_iterations):
+        single, one = _single_solve(spec, lam, seed)
+        assert single.tobytes() == theta.tobytes()
+        assert one.iterations == its
+    return info
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12),
+       forms=st.lists(st.sampled_from(["edge", "individual", "edgeless", "balanced"]),
+                      min_size=1, max_size=6),
+       gamma=st.sampled_from([0.5, 12.0, 228.0]), lam=st.sampled_from([0.0, 1.0, 8.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_equal_single_solves(n, forms, gamma, lam, seed):
+    rng = np.random.default_rng(seed)
+    specs = [_row_spec(rng, n, form, gamma) for form in forms]
+    _assert_rows_match_single_solves(specs, lam, rng.integers(2**32, size=len(specs)))
+
+
+def test_batch_rows_stop_at_their_own_iterations():
+    # at lambda = 0 the balanced and edgeless rows meet the tolerance at x0,
+    # while the data rows take their own steps for their own counts
+    rng = np.random.default_rng(5)
+    forms = ["edge", "balanced", "individual", "edgeless", "edge"]
+    specs = [_row_spec(rng, 10, form, 0.5) for form in forms]
+    assert len({smoothness(spec) for spec in specs}) == len(specs)
+    info = _assert_rows_match_single_solves(specs, 0.0, range(len(specs)))
+    its = info.row_iterations
+    assert its[1] == its[3] == 0
+    assert len({its[0], its[2], its[4]}) == 3 and min(its[0], its[2], its[4]) > 1
+
+
+def test_batch_at_the_iteration_cap_names_the_row(monkeypatch):
+    # row 0 meets the tolerance at x0; row 1 needs more than one step
+    rng = np.random.default_rng(6)
+    specs = [_row_spec(rng, 6, "balanced", 0.5), _row_spec(rng, 6, "edge", 0.5)]
+    calib = PrivacyCalibration(epsilon=1.0, lam=0.0, gamma=0.5, regime="edge")
+    monkeypatch.setattr(solver, "MAX_ITERS", 1)
+    with pytest.raises(ConvergenceError, match="^row 1: no convergence after 1 ") as exc:
+        estimate_batch(specs, calib, [0, 1])
+    assert exc.value.row == 1 and exc.value.theta.shape == (2, 6)
+    assert not exc.value.info.converged and exc.value.info.grad_sup_norm > 0
+
+
+def test_batch_rejects_specs_that_do_not_share_n_and_gamma():
+    rng = np.random.default_rng(7)
+    calib = PrivacyCalibration(epsilon=1.0, lam=1.0, gamma=0.5, regime="edge")
+    for specs in ([_row_spec(rng, 4, "edge", 0.5), _row_spec(rng, 5, "edge", 0.5)],
+                  [_row_spec(rng, 4, "edge", 0.5), _row_spec(rng, 4, "edge", 2.0)]):
+        with pytest.raises(ValueError, match="same n and the calibration's gamma"):
+            estimate_batch(specs, calib, [0, 1])
 
 
 class TestRankFromScores:
