@@ -22,7 +22,6 @@ invariants.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .counts import noisy_counts, win_counts
 from .data import (ComparisonGraph, EdgeDataset, IndividualDataset, check_outcomes,
                    pair_arrays, pair_count, row_starts, unrank)
-from .metrics import descending_order
+from .metrics import descending_order, on_two_threads
 
 MIN_EPSILON_SAMPLES = 100_000
 COUNT_FLOOR = 30
@@ -277,27 +276,13 @@ def estimate_epsilon(mechanism: CountTopKMechanism, pair: AdjacentPair,
     """
     if samples < MIN_EPSILON_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_EPSILON_SAMPLES}")
-    # the variant replays on a thread: laplace releases the GIL
     base_rng, variant_rng = map(np.random.default_rng, np.random.SeedSequence(
         np.random.default_rng(seed).integers(2**63, size=4)).spawn(2))
-    variant = {}
-
-    def replay():
-        try:
-            variant["masks"] = mechanism.output_masks(pair.variant, samples, variant_rng)
-        except BaseException as exc:
-            variant["error"] = exc
-
-    thread = threading.Thread(target=replay)
-    thread.start()
-    try:
-        masks_a = mechanism.output_masks(pair.base, samples, base_rng)
-    finally:
-        thread.join()
-    if "error" in variant:
-        raise variant["error"]
+    masks_a, masks_b = on_two_threads(  # laplace releases the GIL: the sides overlap
+        lambda: mechanism.output_masks(pair.base, samples, base_rng),
+        lambda: mechanism.output_masks(pair.variant, samples, variant_rng))
     sets_a, counts_a = np.unique(masks_a, return_counts=True)
-    sets_b, counts_b = np.unique(variant["masks"], return_counts=True)
+    sets_b, counts_b = np.unique(masks_b, return_counts=True)
 
     if math.isinf(mechanism.epsilon):
         differs = not np.array_equal(sets_a, sets_b)

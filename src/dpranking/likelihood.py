@@ -175,8 +175,15 @@ def smoothness(spec: ObjectiveSpec) -> float:
     Lap(K_n) has largest eigenvalue n. The second bound is exact on a complete
     graph with uniform M at theta = 0; the first is the smaller on sparse graphs.
     """
+    return float(block_smoothness(spec, 1)[0])
+
+
+def block_smoothness(spec: ObjectiveSpec, blocks: int) -> np.ndarray:
+    """smoothness of each of ``blocks`` equal item blocks holding their own pairs, at once."""
+    n = spec.n // blocks
     degree = np.bincount(spec._rows, np.add.reduceat(spec.M, spec._starts), spec.n)
     degree += np.bincount(spec.j, spec.M, spec.n)
-    lap_max = min(2.0 * float(np.max(degree, initial=0.0)),
-                  spec.n * float(np.max(spec.M, initial=0.0)))
-    return 0.25 * lap_max + spec.gamma
+    m_max = np.zeros(blocks)
+    np.maximum.at(m_max, spec.i // max(n, 1), spec.M)
+    degree_max = degree.reshape(blocks, n).max(axis=1, initial=0.0)
+    return 0.25 * np.minimum(2.0 * degree_max, n * m_max) + spec.gamma

@@ -16,9 +16,9 @@ import numpy as np
 
 
 @np.errstate(over="ignore")  # e^-x is inf below x ~ -709.78, and 1/inf is exactly 0
-def expit(x):
-    """The logistic CDF F(x) = 1/(1 + e^-x), in one array written in place."""
-    z = np.negative(x, dtype=float, out=np.empty(np.shape(x)))
+def expit(x, out=None):
+    """The logistic CDF F(x) = 1/(1 + e^-x), written in place in ``out`` or one new array."""
+    z = np.negative(x, dtype=float, out=np.empty(np.shape(x)) if out is None else out)
     np.exp(z, out=z)
     z += 1.0
     np.divide(1.0, z, out=z)

@@ -9,23 +9,61 @@ CSV output numeric.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from .data import ProbMatrix
 
 LOG_ERROR_FLOOR = -50.0
+_TAU_BLOCK = 45_056  # entries in each thread's block of tau (see the README on its size)
+
+
+def on_two_threads(here, there):
+    """(here(), there()) with there() on a second thread, joined before its error is raised."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = there()
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        mine = here()
+    finally:
+        thread.join()
+    if "error" in out:
+        raise out["error"]
+    return mine, out["value"]
 
 
 def tau(rho: ProbMatrix) -> np.ndarray:
     """tau_i = (1/n) sum_j rho_ij, diagonal included: numpy's mean of dense row i.
 
-    The dense rows come from ``rho.rows()`` a block at a time (a parametric rho
-    is evaluated there), so tau is bit-equal to ``dense.mean(axis=1)`` and rows
-    holding the same values (equal-theta items, the blocks of
-    ``two_block_rho``) tie exactly.
+    A parametric rho's rows, one per distinct theta, are evaluated in place, half
+    on a second thread. Bit-equal to ``dense.mean(axis=1)``; equal rows tie exactly.
     """
-    return np.concatenate([block.mean(axis=1) for block in rho.rows()])
+    if rho.upper is not None:
+        return np.concatenate([block.mean(axis=1) for block in rho.rows()])
+    theta_u, inverse = np.unique(rho.theta, return_inverse=True)  # -0.0 == 0.0: same row bits
+    tau_u, step = np.empty(len(theta_u)), max(1, _TAU_BLOCK // rho.n)
+
+    def rows(a: int, b: int) -> None:
+        buffer = np.empty((step, rho.n))
+        for s in range(a, b, step):
+            u = theta_u[s:min(s + step, b)]
+            block = np.subtract(u[:, None], rho.theta, out=buffer[:len(u)])
+            np.mean(rho.link.eval(block, out=block), axis=1, out=tau_u[s:s + len(u)])
+
+    half = -(-len(theta_u) // step) // 2 * step  # a block boundary; 0 below two blocks
+    if half:
+        on_two_threads(lambda: rows(0, half), lambda: rows(half, len(theta_u)))
+    else:
+        rows(0, len(theta_u))
+    return tau_u[inverse]
 
 
 def descending_order(scores) -> np.ndarray:

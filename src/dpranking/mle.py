@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import EdgeDataset
 # objective is unused here; the benchmark's tracer wraps mle.objective by name
-from .likelihood import ObjectiveSpec, grad, objective, smoothness  # noqa: F401
+from .likelihood import ObjectiveSpec, block_smoothness, grad, objective  # noqa: F401
 from .links import LinkFunction
 from .metrics import rank_from_scores
 from .solver import SolveInfo, SolverConfig, minimize
@@ -148,7 +148,7 @@ def estimate_batch(specs: list[ObjectiveSpec], calib: PrivacyCalibration,
         g += w
         return g.reshape(theta.shape)
 
-    steps = np.array([1.0 / smoothness(block) for block in specs])
+    steps = 1.0 / block_smoothness(spec, len(specs))
     return minimize(batch_grad, x0, steps, calib.gamma, default_solver_config(calib.gamma))
 
 

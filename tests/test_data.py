@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -113,6 +114,60 @@ class TestPackedPaths:
         scores = tau(rho_from_theta(theta, link))
         assert np.all(scores[:k] == scores[0])
         assert np.all(scores[k:] < scores[0])
+
+    @staticmethod
+    def _row_block_means(rho):
+        return np.concatenate([block.mean(axis=1) for block in rho.rows()])
+
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_tau_of_parametric_rho_is_the_row_block_means(self, link, n):
+        # both sizes split the distinct rows between two threads, mid-block
+        # boundaries included, and a quarter of the items share one theta
+        rho = rho_from_theta(generate_theta(n, n // 4, seed=n, top_inclusive=True), link)
+        assert tau(rho).tobytes() == self._row_block_means(rho).tobytes()
+
+    @pytest.mark.parametrize("theta", [
+        [0.0, -0.0, 1.5, -0.0, -2.0, 0.0],
+        np.where(np.arange(3000) % 3, 0.0, -0.0),
+        np.tile([-0.0, 0.25, 0.0, -1.0], 1000),
+        np.full(5000, 0.3),
+        np.full(1, -0.0),
+        np.full(1, 7.0),
+    ])
+    def test_tau_of_signed_zeros_and_repeated_theta(self, link, theta):
+        rho = rho_from_theta(theta, link)
+        want = link.eval(rho.theta[:, None] - rho.theta).mean(axis=1)
+        assert tau(rho).tobytes() == self._row_block_means(rho).tobytes() == want.tobytes()
+
+    def test_tau_evaluates_on_two_threads(self, link):
+        seen = set()
+
+        def eval_(x, out=None):
+            seen.add(threading.get_ident())
+            return link.eval(x, out=out)
+
+        theta = np.random.default_rng(0).normal(size=3000)
+        rho = rho_from_theta(theta, dataclasses.replace(link, eval=eval_))
+        assert tau(rho).tobytes() == tau(rho_from_theta(theta, link)).tobytes()
+        assert len(seen) == 2 and threading.get_ident() in seen
+        # one block's worth of distinct rows is evaluated here alone
+        seen.clear()
+        tau(rho_from_theta(np.tile([0.0, 1.0], 1500), dataclasses.replace(link, eval=eval_)))
+        assert seen == {threading.get_ident()}
+
+    def test_tau_raises_a_worker_error_and_joins_the_thread(self, link):
+        here = threading.get_ident()
+
+        def eval_(x, out=None):
+            if threading.get_ident() != here:
+                raise FloatingPointError("worker block failed")
+            return link.eval(x, out=out)
+
+        rho = rho_from_theta(np.arange(5000.0), dataclasses.replace(link, eval=eval_))
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker block failed"):
+            tau(rho)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("n", [1200, 5000])
     def test_rho_from_theta_matches_pair_gather_across_blocks(self, link, n):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dpranking.links import get_link, logistic_link
+from dpranking.links import expit, get_link, logistic_link
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -98,6 +98,29 @@ def test_eval_saturates_exactly_without_warning(link):
         warnings.simplefilter("error")
         assert list(link.eval(np.array([-800.0, 800.0]))) == [0.0, 1.0]
         assert float(link.eval(-800.0)) == 0.0
+
+
+def test_eval_into_out_is_bit_equal_to_the_allocating_form():
+    x = np.random.default_rng(0).normal(scale=40.0, size=(7, 33))
+    want = expit(x)
+    separate = np.full_like(x, np.nan)
+    assert expit(x, out=separate) is separate
+    assert separate.tobytes() == want.tobytes()
+    aliased = x.copy()
+    assert expit(aliased, out=aliased) is aliased
+    assert aliased.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 3.5, -800.0, np.float64(-2.25)])
+def test_eval_of_a_scalar_or_0d_array_is_a_scalar(x):
+    want = expit(np.array([x]))[0]
+    for arg in (x, np.array(x)):
+        got = expit(arg)
+        assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+        assert np.float64(got).tobytes() == want.tobytes()
+    out = np.array(np.nan)
+    expit(x, out=out)
+    assert out.tobytes() == want.tobytes()
 
 
 def test_log_eval_within_1_ulp_of_log1p_form(link):

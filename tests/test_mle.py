@@ -10,9 +10,9 @@ from dpranking.counts import win_counts
 from dpranking.data import (ComparisonGraph, EdgeDataset, IndividualDataset, ProbMatrix,
                             generate_theta, rho_from_theta, sample_edge_outcomes,
                             sample_er_graph, sample_individual)
-from dpranking.likelihood import ObjectiveSpec, grad, smoothness
+from dpranking.likelihood import ObjectiveSpec, block_smoothness, grad, smoothness
 from dpranking.links import expit, logistic_link
-from dpranking.mle import (PrivacyCalibration, calibrate_edge,
+from dpranking.mle import (PrivacyCalibration, _stacked, calibrate_edge,
                            calibrate_individual, default_solver_config,
                            estimate, estimate_batch, estimate_full, rank_from_scores)
 from dpranking import solver
@@ -579,6 +579,22 @@ def test_batch_rows_equal_single_solves(n, forms, gamma, lam, seed):
     rng = np.random.default_rng(seed)
     specs = [_row_spec(rng, n, form, gamma) for form in forms]
     _assert_rows_match_single_solves(specs, lam, rng.integers(2**32, size=len(specs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12),
+       forms=st.lists(st.sampled_from(["edge", "individual", "edgeless", "balanced"]),
+                      min_size=0, max_size=6),
+       at=st.integers(0, 6), gamma=st.sampled_from([0.5, 12.0, 228.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_steps_are_each_specs_own_in_one_pass(n, forms, at, gamma, seed):
+    # every batch holds an edgeless spec; at n = 1 every spec is edgeless
+    rng = np.random.default_rng(seed)
+    forms.insert(min(at, len(forms)), "edgeless")
+    specs = [_row_spec(rng, n, form if n > 1 else "edgeless", gamma) for form in forms]
+    want = np.array([1.0 / smoothness(spec) for spec in specs])
+    got = 1.0 / block_smoothness(_stacked(specs), len(specs))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_batch_rows_stop_at_their_own_iterations():
