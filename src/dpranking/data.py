@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -21,8 +20,8 @@ from .links import LinkFunction
 
 # most gaps drawn per call in sample_er_graph
 _DRAW_CHUNK = 1 << 20
-# most entries per block of ProbMatrix.rows and ComparisonGraph.batch (unless
-# one row is longer), so each temporary stays under glibc's 128 KiB mmap threshold
+# most entries per block of ComparisonGraph.batch (unless one row is longer),
+# so each temporary stays under glibc's 128 KiB mmap threshold
 _ROW_BLOCK = 1 << 14
 
 
@@ -60,7 +59,7 @@ def unrank(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ProbMatrix:
-    """Win probabilities rho[i, j], read through ``at`` and ``rows``.
+    """Win probabilities rho[i, j], read through ``at`` and, when explicit, ``row``.
 
     Explicit: the strict upper triangle ``upper``. Parametric: ``theta`` and
     ``link``, with rho[i, j] = link.eval(theta_i - theta_j).
@@ -90,28 +89,16 @@ class ProbMatrix:
             return self.link.eval(self.theta[i] - self.theta[j])
         return self.upper[row_starts(self.n)[i] + j - i - 1]
 
-    def rows(self) -> Iterator[np.ndarray]:
-        """The dense n x n matrix, 1/2 on the diagonal, in blocks of whole rows.
-
-        Each block holds ``max(1, _ROW_BLOCK // n)`` rows (fewer at the end).
-        A parametric block is link.eval(theta_i - theta_j), whose diagonal is
-        F(0) = 1/2 for a symmetric link; an explicit one reads ``upper`` above
-        the diagonal and 1 - ``upper`` below it.
-        """
-        n = self.n
-        step = max(1, _ROW_BLOCK // n)
-        j = np.arange(n)
-        starts = row_starts(n) - 1
-        for a in range(0, n, step):
-            if self.upper is None:
-                yield self.link.eval(self.theta[a:a + step, None] - self.theta)
-                continue
-            i = j[a:a + step, None]
-            block = np.full((len(i), n), 0.5)
-            above, below = i < j, i > j
-            block[above] = self.upper[(starts[i] + j - i)[above]]
-            block[below] = 1.0 - self.upper[(starts[j] + i - j)[below]]
-            yield block
+    def row(self, i: int) -> np.ndarray:
+        """Dense row i of an explicit rho: 1 - rho[j, i] for j < i, 1/2, then rho[i, j > i]."""
+        n, j = self.n, np.arange(i)
+        out = np.empty(n)
+        # (j, i) sits at row_starts(n)[j] + i - j - 1, one entry of each earlier row
+        np.subtract(1.0, self.upper[j * (2 * n - j - 3) // 2 + i - 1], out=out[:i])
+        out[i] = 0.5
+        start = i * (2 * n - i - 1) // 2
+        out[i + 1:] = self.upper[start:start + n - i - 1]
+        return out
 
 
 def check_outcomes(y: np.ndarray) -> None:

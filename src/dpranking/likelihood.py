@@ -165,21 +165,18 @@ def hessian(theta: np.ndarray, spec: ObjectiveSpec) -> np.ndarray:
     return H
 
 
-def smoothness(spec: ObjectiveSpec) -> float:
-    """L >= the objective Hessian's largest eigenvalue at every theta.
+def smoothness(spec: ObjectiveSpec, blocks: int) -> np.ndarray:
+    """L >= the objective Hessian's largest eigenvalue at every theta, one per item block.
 
-    Each pair's curvature F(t)F(-t) is at most 1/4, so the Hessian is at most
-    Lap(M)/4 + gamma*I. The weighted Laplacian's largest eigenvalue is at most
-    twice its largest weighted degree (Gershgorin), and at most n*max(M), since
-    max(M)*Lap(K_n) - Lap(M) is a nonnegative sum of pair Laplacians and
-    Lap(K_n) has largest eigenvalue n. The second bound is exact on a complete
-    graph with uniform M at theta = 0; the first is the smaller on sparse graphs.
+    The ``blocks`` equal runs of items in ``spec`` each hold their own pairs
+    (one spec is one block). Each pair's curvature F(t)F(-t) is at most 1/4, so
+    the Hessian is at most Lap(M)/4 + gamma*I. The weighted Laplacian's largest
+    eigenvalue is at most twice its largest weighted degree (Gershgorin), and at
+    most n*max(M), since max(M)*Lap(K_n) - Lap(M) is a nonnegative sum of pair
+    Laplacians and Lap(K_n) has largest eigenvalue n. The second bound is exact
+    on a complete graph with uniform M at theta = 0; the first is the smaller on
+    sparse graphs.
     """
-    return float(block_smoothness(spec, 1)[0])
-
-
-def block_smoothness(spec: ObjectiveSpec, blocks: int) -> np.ndarray:
-    """smoothness of each of ``blocks`` equal item blocks holding their own pairs, at once."""
     n = spec.n // blocks
     degree = np.bincount(spec._rows, np.add.reduceat(spec.M, spec._starts), spec.n)
     degree += np.bincount(spec.j, spec.M, spec.n)

@@ -47,9 +47,9 @@ def tau(rho: ProbMatrix) -> np.ndarray:
     on a second thread. Bit-equal to ``dense.mean(axis=1)``; equal rows tie exactly.
     """
     if rho.upper is not None:
-        return np.concatenate([block.mean(axis=1) for block in rho.rows()])
+        return np.array([rho.row(i).mean() for i in range(rho.n)], dtype=float)
     theta_u, inverse = np.unique(rho.theta, return_inverse=True)  # -0.0 == 0.0: same row bits
-    tau_u, step = np.empty(len(theta_u)), max(1, _TAU_BLOCK // rho.n)
+    tau_u, step = np.empty(len(theta_u)), max(1, _TAU_BLOCK // max(rho.n, 1))
 
     def rows(a: int, b: int) -> None:
         buffer = np.empty((step, rho.n))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import EdgeDataset
 # objective is unused here; the benchmark's tracer wraps mle.objective by name
-from .likelihood import ObjectiveSpec, block_smoothness, grad, objective  # noqa: F401
+from .likelihood import ObjectiveSpec, grad, objective, smoothness  # noqa: F401
 from .links import LinkFunction
 from .metrics import rank_from_scores
 from .solver import SolveInfo, SolverConfig, minimize
@@ -126,11 +126,11 @@ def estimate_batch(specs: list[ObjectiveSpec], calib: PrivacyCalibration,
 
     Row t draws its w from ``seeds[t]`` (the rows in order) and starts from
     its own minimizer's mean -mean(w)/gamma with its own fallback step
-    1/smoothness; every spec must have the same n and carry calib.gamma, as
-    ``objective_spec`` builds them. Row t is bit for bit estimate_full's
-    estimate for specs[t] and seeds[t]. Returns the (S, n) estimates with
-    the batch's diagnostics (see solver.minimize); raises ConvergenceError,
-    naming the row, at the iteration cap.
+    1/smoothness(specs[t], 1); every spec must have the same n and carry
+    calib.gamma, as ``objective_spec`` builds them. Row t is bit for bit
+    estimate_full's estimate for specs[t] and seeds[t]. Returns the (S, n)
+    estimates with the batch's diagnostics (see solver.minimize); raises
+    ConvergenceError, naming the row, at the iteration cap.
     """
     n = specs[0].n
     if any(spec.n != n or spec.gamma != calib.gamma for spec in specs):
@@ -148,7 +148,7 @@ def estimate_batch(specs: list[ObjectiveSpec], calib: PrivacyCalibration,
         g += w
         return g.reshape(theta.shape)
 
-    steps = 1.0 / block_smoothness(spec, len(specs))
+    steps = 1.0 / smoothness(spec, len(specs))
     return minimize(batch_grad, x0, steps, calib.gamma, default_solver_config(calib.gamma))
 
 
@@ -159,7 +159,7 @@ def estimate_full(data, calib: PrivacyCalibration, link: LinkFunction,
     Each pair adds its term to item i's gradient and subtracts it from item
     j's, so 1.grad(theta) = gamma 1.theta + 1.w and the minimizer's mean is
     exactly -mean(w)/gamma. The solve starts at that constant vector, which is
-    zero at lambda = 0. Its fallback step 1/smoothness(spec) certifies the
+    zero at lambda = 0. Its fallback step 1/smoothness(spec, 1) certifies the
     Barzilai-Borwein steps with mu = gamma (see solver.minimize). Returns the
     estimate with solver diagnostics; raises ConvergenceError at the
     iteration cap. This is the one-row case of estimate_batch.

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpranking import data as data_mod
+from dpranking import data as data_mod, metrics as metrics_mod
 from dpranking.data import (_DRAW_CHUNK, _ROW_BLOCK, ComparisonGraph, EdgeDataset,
                             IndividualDataset, ProbMatrix, unrank, generate_theta,
                             pair_arrays, pair_count, rho_from_theta, row_starts, sample_edge_outcomes, sample_er_graph,
                             sample_individual, two_block_rho)
 from dpranking.links import logistic_link
-from dpranking.metrics import tau
+from dpranking.metrics import _TAU_BLOCK, tau
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,11 @@ class TestPackedPaths:
         assert np.array_equal(tau(ProbMatrix(n=1, upper=np.zeros(0))), [0.5])
         assert np.array_equal(tau(rho_from_theta(np.zeros(1), link)), [0.5])
 
+    def test_tau_of_no_items_is_empty(self, link):
+        for rho in (ProbMatrix(n=0, upper=np.zeros(0)), rho_from_theta(np.zeros(0), link)):
+            scores = tau(rho)
+            assert scores.dtype == np.float64 and scores.shape == (0,)
+
     def test_tau_takes_a_numpy_integer_n(self):
         upper = np.random.default_rng(0).random(pair_count(5))
         assert np.array_equal(tau(ProbMatrix(n=np.int64(5), upper=upper)),
@@ -109,22 +114,19 @@ class TestPackedPaths:
 
     def test_tau_ties_equal_theta_across_row_blocks(self, link):
         n, k = 1200, 300
-        assert k > 2 * max(1, _ROW_BLOCK // n)
+        assert k > 2 * max(1, _TAU_BLOCK // n)
         theta = generate_theta(n, k, seed=4, top_inclusive=True)
         scores = tau(rho_from_theta(theta, link))
         assert np.all(scores[:k] == scores[0])
         assert np.all(scores[k:] < scores[0])
 
-    @staticmethod
-    def _row_block_means(rho):
-        return np.concatenate([block.mean(axis=1) for block in rho.rows()])
-
     @pytest.mark.parametrize("n", [1200, 5000])
     def test_tau_of_parametric_rho_is_the_row_block_means(self, link, n):
         # both sizes split the distinct rows between two threads, mid-block
         # boundaries included, and a quarter of the items share one theta
-        rho = rho_from_theta(generate_theta(n, n // 4, seed=n, top_inclusive=True), link)
-        assert tau(rho).tobytes() == self._row_block_means(rho).tobytes()
+        theta = generate_theta(n, n // 4, seed=n, top_inclusive=True)
+        want = link.eval(theta[:, None] - theta).mean(axis=1)
+        assert tau(rho_from_theta(theta, link)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("theta", [
         [0.0, -0.0, 1.5, -0.0, -2.0, 0.0],
@@ -137,7 +139,7 @@ class TestPackedPaths:
     def test_tau_of_signed_zeros_and_repeated_theta(self, link, theta):
         rho = rho_from_theta(theta, link)
         want = link.eval(rho.theta[:, None] - rho.theta).mean(axis=1)
-        assert tau(rho).tobytes() == self._row_block_means(rho).tobytes() == want.tobytes()
+        assert tau(rho).tobytes() == want.tobytes()
 
     def test_tau_evaluates_on_two_threads(self, link):
         seen = set()
@@ -179,34 +181,22 @@ class TestPackedPaths:
             assert np.array_equal(rho.at(iu[a:b], ju[a:b]),
                                   link.eval(theta[iu[a:b]] - theta[ju[a:b]]))
 
-    @pytest.mark.parametrize("n", [1200, 5000])
-    def test_parametric_blocks_match_at(self, link, n):
-        rho = rho_from_theta(np.random.default_rng(n).normal(scale=3.0, size=n), link)
-        a = 0
-        for rows in rho.rows():
-            for t, row in enumerate(rows, a):
-                assert row[t] == 0.5
-                assert np.array_equal(row[t + 1:], rho.at(np.full(n - t - 1, t),
-                                                          np.arange(t + 1, n)))
-            a += len(rows)
-        assert a == n
-
-    @pytest.mark.parametrize("block", [3, _ROW_BLOCK])
+    @pytest.mark.parametrize("block", [3, 16384])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 1200])
     def test_rows_are_the_dense_matrix(self, link, monkeypatch, block, n):
-        # a 3-entry block holds one row once n > 3; 1200 leaves a short last block
-        monkeypatch.setattr(data_mod, "_ROW_BLOCK", block)
+        # tau's blocks: 3 entries hold one row once n > 3; 1200 leaves a short last block
+        monkeypatch.setattr(metrics_mod, "_TAU_BLOCK", block)
         rng = np.random.default_rng(n)
         theta = rng.normal(scale=3.0, size=n)
         explicit = ProbMatrix(n=n, upper=rng.random(pair_count(n)))
-        for rho, want in ((rho_from_theta(theta, link), link.eval(theta[:, None] - theta)),
-                          (explicit, dense(explicit))):
-            blocks = list(rho.rows())
-            step = max(1, block // n)
-            assert [len(rows) for rows in blocks] == [min(step, n - a)
-                                                      for a in range(0, n, step)]
-            assert np.array_equal(np.vstack(blocks), want)
-            assert np.all(np.diag(want) == 0.5)
+        want = dense(explicit)
+        assert np.all(np.diag(want) == 0.5)
+        for i in range(n):
+            assert explicit.row(i).tobytes() == want[i].tobytes()
+        assert tau(explicit).tobytes() == want.mean(axis=1).tobytes()
+        want = link.eval(theta[:, None] - theta)
+        assert np.all(np.diag(want) == 0.5)
+        assert tau(rho_from_theta(theta, link)).tobytes() == want.mean(axis=1).tobytes()
 
     def test_rho_from_theta_peak_memory_is_linear_in_n(self, link):
         n = 2000

@@ -303,7 +303,7 @@ def test_smoothness_bounds_hessian(n, individual, gamma, at_zero, seed):
                                     pm, seed=rng)
         spec = ObjectiveSpec.from_edge(data, LINK, gamma=gamma)
     theta = np.zeros(n) if at_zero else rng.uniform(-5, 5, size=n)
-    L = smoothness(spec)
+    L = smoothness(spec, 1)[0]
     assert L >= np.linalg.eigvalsh(hessian(theta, spec))[-1] - 1e-9 * L
 
 
@@ -323,13 +323,13 @@ def test_smoothness_tight_on_complete_graph(n, gamma, c):
         spec = ObjectiveSpec(n=n, i=g.i, j=g.j, M=np.full(len(g.i), c),
                              ybar=rng.random(len(g.i)), link=LINK, gamma=gamma)
     lam_max = np.linalg.eigvalsh(hessian(np.zeros(n), spec))[-1]
-    assert smoothness(spec) == pytest.approx(lam_max, rel=1e-12)
+    assert smoothness(spec, 1)[0] == pytest.approx(lam_max, rel=1e-12)
 
 
 def test_smoothness_of_edgeless_spec_is_gamma():
     spec = ObjectiveSpec(n=4, i=np.array([], dtype=int), j=np.array([], dtype=int),
                          M=np.array([]), ybar=np.array([]), link=LINK, gamma=3.0)
-    assert smoothness(spec) == 3.0
+    assert smoothness(spec, 1).tolist() == [3.0]
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,7 +10,7 @@ from dpranking.counts import win_counts
 from dpranking.data import (ComparisonGraph, EdgeDataset, IndividualDataset, ProbMatrix,
                             generate_theta, rho_from_theta, sample_edge_outcomes,
                             sample_er_graph, sample_individual)
-from dpranking.likelihood import ObjectiveSpec, block_smoothness, grad, smoothness
+from dpranking.likelihood import ObjectiveSpec, grad, smoothness
 from dpranking.links import expit, logistic_link
 from dpranking.mle import (PrivacyCalibration, _stacked, calibrate_edge,
                            calibrate_individual, default_solver_config,
@@ -196,7 +196,7 @@ class TestEstimate:
                              gamma=1.0, w=np.zeros(3))
         cfg = default_solver_config(1.0)
         theta, info = minimize(lambda t: grad(t[0], spec)[None], np.zeros((1, 3)),
-                               1.0 / smoothness(spec), spec.gamma, cfg)
+                               1.0 / smoothness(spec, 1)[0], spec.gamma, cfg)
         assert np.max(np.abs(theta)) <= cfg.tol
 
     def test_solve_uses_gradient_only(self, monkeypatch):
@@ -480,7 +480,7 @@ def test_batch_windows_after_discards_match_the_scalar_loop():
 
 def _fixed_step_solve(spec, tol):
     """The plain 1/L gradient step from zero, as a reference minimizer."""
-    step = 1.0 / smoothness(spec)
+    step = 1.0 / smoothness(spec, 1)[0]
     x = np.zeros(spec.n)
     while True:
         g = grad(x, spec)
@@ -548,7 +548,7 @@ def _single_solve(spec, lam, seed):
     w = np.random.default_rng(seed).laplace(scale=lam, size=spec.n)
     one = replace(spec, w=w)
     x0 = np.full(spec.n, (0.0 - w.sum() / spec.n) / spec.gamma)
-    step, tol = 1.0 / smoothness(one), default_solver_config(spec.gamma).tol
+    step, tol = 1.0 / smoothness(one, 1)[0], default_solver_config(spec.gamma).tol
     theta, info = minimize(lambda t: grad(t[0], one)[None], x0[None], step, spec.gamma,
                            default_solver_config(spec.gamma))
     reference, its = _scalar_minimize(lambda t: grad(t, one), x0, step, spec.gamma, tol)
@@ -592,8 +592,8 @@ def test_batch_steps_are_each_specs_own_in_one_pass(n, forms, at, gamma, seed):
     rng = np.random.default_rng(seed)
     forms.insert(min(at, len(forms)), "edgeless")
     specs = [_row_spec(rng, n, form if n > 1 else "edgeless", gamma) for form in forms]
-    want = np.array([1.0 / smoothness(spec) for spec in specs])
-    got = 1.0 / block_smoothness(_stacked(specs), len(specs))
+    want = np.array([1.0 / smoothness(spec, 1)[0] for spec in specs])
+    got = 1.0 / smoothness(_stacked(specs), len(specs))
     assert got.tobytes() == want.tobytes()
 
 
@@ -603,7 +603,7 @@ def test_batch_rows_stop_at_their_own_iterations():
     rng = np.random.default_rng(5)
     forms = ["edge", "balanced", "individual", "edgeless", "edge"]
     specs = [_row_spec(rng, 10, form, 0.5) for form in forms]
-    assert len({smoothness(spec) for spec in specs}) == len(specs)
+    assert len({smoothness(spec, 1)[0] for spec in specs}) == len(specs)
     info = _assert_rows_match_single_solves(specs, 0.0, range(len(specs)))
     its = info.row_iterations
     assert its[1] == its[3] == 0
